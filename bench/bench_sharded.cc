@@ -139,10 +139,8 @@ int ChildMain(const std::string& path_a, const std::string& path_b,
   SlimConfig config;  // stock pipeline defaults, LSH on
   config.threads = threads;
   config.shards = shards;
-  const SlimLinker linker(config);
-  // shards == 0 measures the monolithic driver; >= 1 the sharded one.
-  auto result =
-      shards > 0 ? linker.LinkSharded(*a, *b) : linker.Link(*a, *b);
+  // shards == 0 measures the default one-block plan; >= 1 a K-shard one.
+  auto result = SlimLinker(config).Link(*a, *b);
   SLIM_CHECK_MSG(result.ok(), result.status().ToString().c_str());
   const LinkageResult& r = *result;
 

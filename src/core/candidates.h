@@ -78,10 +78,8 @@ class CandidateGenerator {
 
 /// The query-grid span of the FULL problem (union of both stores'
 /// occupied windows; [0, 0) when nothing is occupied). Every LSH build —
-/// monolithic, shard, or incremental epoch — pins its grid to this span,
-/// so signatures never depend on which subset was indexed; the
-/// incremental linker (core/incremental.h) compares it across epochs to
-/// decide whether cached LSH signatures are still valid.
+/// one block or many — pins its grid to this span, so signatures never
+/// depend on which subset was indexed.
 LshWindowSpan GlobalWindowSpan(const LinkageContext& ctx);
 
 /// Builds the candidate index of `kind` over the context. `lsh_config` is

@@ -17,7 +17,11 @@ bool EdgeLess(EdgeOrder order, const WeightedEdge& a, const WeightedEdge& b) {
 
 void SortEdges(EdgeOrder order, std::vector<WeightedEdge>* edges) {
   if (order == EdgeOrder::kPair) {
-    std::sort(edges->begin(), edges->end(), PairEdgeOrder);
+    // Scoring emits each block in (u, v) order, so a one-block buffer
+    // arrives sorted: checking costs one pass where sorting costs n log n.
+    if (!std::is_sorted(edges->begin(), edges->end(), PairEdgeOrder)) {
+      std::sort(edges->begin(), edges->end(), PairEdgeOrder);
+    }
   } else {
     std::sort(edges->begin(), edges->end(), GreedyEdgeOrder);
   }
@@ -263,6 +267,7 @@ Status EdgeSpill::MergeRuns(std::FILE* file, const std::vector<Run>& runs,
 Status EdgeSpill::Scan(EdgeOrder order,
                        const std::function<void(const WeightedEdge&)>& fn) {
   SLIM_CHECK_MSG(sealed_, "EdgeSpill::Scan before Seal");
+  SLIM_CHECK_MSG(!drained_, "EdgeSpill::Scan after Drain");
   if (file_ == nullptr) {
     // Memory mode: a full sort replaces the merge; same total orders, same
     // sequence.
@@ -275,6 +280,23 @@ Status EdgeSpill::Scan(EdgeOrder order,
     if (Status s = ResortRuns(order); !s.ok()) return s;
   }
   return MergeRuns(resorted_file_, resorted_runs_, order, fn);
+}
+
+Status EdgeSpill::Drain(EdgeOrder order, std::vector<WeightedEdge>* out) {
+  SLIM_CHECK_MSG(sealed_ && !drained_,
+                 "EdgeSpill::Drain before Seal or after Drain");
+  Status status = Status::Ok();
+  if (file_ == nullptr) {
+    SortEdges(order, &buffer_);
+    *out = std::move(buffer_);
+    buffer_ = {};
+  } else {
+    out->clear();
+    out->reserve(static_cast<size_t>(count_));
+    status = Scan(order, [out](const WeightedEdge& e) { out->push_back(e); });
+  }
+  drained_ = true;
+  return status;
 }
 
 }  // namespace slim

@@ -1,8 +1,8 @@
-// Bounded-memory edge accumulation + external sort for the sharded driver
-// (core/sharded.h).
+// Bounded-memory edge accumulation + external sort for the linkage driver
+// (core/slim.h).
 //
-// Scoring a sharded linkage produces the edge set one (left, right) block
-// at a time; matching needs it twice, in two global orders — the canonical
+// Scoring produces the edge set one (left, right) block of the shard plan
+// at a time; matching needs it in up to two global orders — the canonical
 // (u, v) order that seals the graph, and the (weight desc, u, v) order the
 // greedy matcher consumes. At 1M entities/side the edge set no longer fits
 // the memory budget, so EdgeSpill implements the classic external-sort
@@ -18,6 +18,9 @@
 //               the order the runs are NOT sorted in first rewrites each
 //               run in the requested order (one extra sequential pass,
 //               counted in merge_passes) and merges that.
+//   drain     — the same global order, moved into one vector: in memory
+//               the buffer is sorted in place and handed over, so a
+//               one-block plan's edges become the sealed graph uncopied.
 //
 // Both scan orders are total (each (u, v) pair is scored once; score ties
 // break on (u, v)), so the merged sequence is independent of run
@@ -102,6 +105,13 @@ class EdgeSpill {
   Status Scan(EdgeOrder order,
               const std::function<void(const WeightedEdge&)>& fn);
 
+  /// Replaces `*out` with every edge in the requested global order and
+  /// consumes the spill: memory mode sorts its buffer in place and moves
+  /// it out without a copy; disk mode merges the runs into `*out`.
+  /// Requires Seal(); Scan() and Drain() are invalid afterwards. IoError
+  /// on short reads / corrupt spill.
+  Status Drain(EdgeOrder order, std::vector<WeightedEdge>* out);
+
  private:
   struct Run {
     uint64_t begin = 0;  // first edge's index in the spill file
@@ -132,6 +142,7 @@ class EdgeSpill {
   std::vector<WeightedEdge> buffer_;  // open run (disk) / everything (mem)
   uint64_t count_ = 0;
   bool sealed_ = false;
+  bool drained_ = false;
   uint64_t spill_bytes_written_ = 0;
   int merge_passes_ = 0;
 };

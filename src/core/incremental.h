@@ -5,65 +5,55 @@
 // *epochs*: Ingest() buffers record appends (new events for existing
 // entities, or entirely new entities, on either side) and LinkEpoch()
 // folds them in — vocabulary intern + store compaction
-// (core/linkage_context.h) — then re-runs candidates, scoring, matching,
-// and the GMM stop threshold over the merged problem.
+// (core/linkage_context.h) — then runs the batch driver
+// (SlimLinker::LinkShardedContext) over the compacted context:
+// candidates, scoring, matching, and the GMM stop threshold, from scratch.
 //
 // The contract, pinned by tests/test_incremental.cc and the CI
 // serve-smoke byte-comparison: after any sequence of Ingest/LinkEpoch
 // calls, the epoch's links/matching/threshold/graph are BIT-IDENTICAL to
 // a from-scratch SlimLinker::Link over the union of every record ever
-// ingested, at every thread count. Incrementality changes how much work
-// an epoch does, never what it returns:
+// ingested, at every thread count. It holds by construction: the
+// compacted context equals LinkageContext::Build over that union, and the
+// epoch runs the same driver over it.
 //
-//   * Pair-score reuse. All candidate-pair scores of an epoch are kept
-//     (keyed by EntityId, which is stable; EntityIdx is not). A cached
-//     score is reused only when nothing that enters Eq. 2 changed for
-//     the pair: appends since the last epoch were pure count increments
-//     on existing (entity, bin) pairs (no new entities — |U| and thus
-//     every IDF value would shift; no new bins — avg|H| and thus every
-//     length norm would shift), and neither endpoint was appended to.
-//     Any structural growth marks the whole cache stale
-//     (LinkageContext::AppendSummary).
-//   * LSH signature reuse. A signature is a pure function of the
-//     entity's window tree and the query grid, so signatures of
-//     un-appended entities carry over even through epochs that re-score
-//     everything — unless the global window span moved, which rebuilds
-//     the index from scratch. Banding and candidate gathering always
-//     re-run; they are cheap and deterministic.
-//
-// One asterisk: LinkageResult::stats covers only the pairs actually
-// re-scored in the epoch (EpochStats says how many were reused), and the
-// stage timings are epoch-local. Links, matching, graph, and threshold
-// are the bit-identical surfaces.
+// Nothing but the context, the links, and the graph (TopK's source)
+// carries over between epochs. A new bin shifts avg|H| and so every
+// length norm; a new entity shifts |U| and so every IDF value; a moved
+// window span moves the LSH query grid. A time-ordered stream does all
+// three almost every epoch, so cached pair scores and LSH signatures
+// would be stale (docs/SERVING.md has the measurement).
 //
 // Not thread-safe: one linker, one caller (the slim_serve daemon's
 // single-threaded command loop). Internally LinkEpoch parallelises over
-// config.threads like the batch path. Sharding/SCTX knobs of SlimConfig
-// are ignored — the incremental engine is the monolithic path.
+// config.threads and follows the block plan like the batch path;
+// keep_graph is forced on and sctx_path is ignored (the live context is
+// heap-resident).
 #ifndef SLIM_CORE_INCREMENTAL_H_
 #define SLIM_CORE_INCREMENTAL_H_
 
 #include <cstdint>
-#include <optional>
-#include <set>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "common/status.h"
 #include "core/linkage_context.h"
 #include "core/slim.h"
-#include "lsh/lsh_index.h"
+#include "match/bipartite.h"
 
 namespace slim {
 
-/// What one LinkEpoch spent versus saved (diagnostics; STATS command).
+/// What one LinkEpoch did (diagnostics; the LINK reply). Every epoch
+/// re-links the compacted context from scratch, so pairs_scored is the
+/// epoch's candidate-pair count, both reuse counters read 0, and
+/// rescored_all reads true; the fields keep the reply and the bench
+/// records stable.
 struct EpochStats {
   uint64_t appended_records = 0;  // records folded in by this epoch
-  uint64_t pairs_scored = 0;      // candidate pairs scored fresh
-  uint64_t pairs_reused = 0;      // candidate pairs served from cache
-  uint64_t signatures_reused = 0; // LSH signatures carried over
-  bool rescored_all = false;      // structural growth staled the cache
+  uint64_t pairs_scored = 0;      // candidate pairs scored
+  uint64_t pairs_reused = 0;      // always 0: no pair-score cache
+  uint64_t signatures_reused = 0; // always 0: no LSH signature carry-over
+  bool rescored_all = true;       // always true: every epoch re-links
 };
 
 /// One epoch's outcome: the batch-identical linkage plus the delta
@@ -82,7 +72,8 @@ struct EpochResult {
 class IncrementalLinker {
  public:
   /// Validates the config like SlimLinker does (CHECK on invalid
-  /// geometry). Starts at epoch 0 with an empty context.
+  /// geometry) and forces keep_graph on. Starts at epoch 0 with an empty
+  /// context.
   explicit IncrementalLinker(SlimConfig config);
 
   /// Buffers `records` (any order; new or existing entities) for the
@@ -95,9 +86,9 @@ class IncrementalLinker {
   }
 
   /// Folds buffered appends into the context and re-links. Calling with
-  /// nothing buffered re-seals the current state (every pair served from
-  /// cache). Never fails today; the Result slot reports future I/O-backed
-  /// epochs.
+  /// nothing buffered re-seals identical links. Fails only when a
+  /// multi-block plan's disk spill does (IoError); the epoch is then not
+  /// sealed.
   Result<EpochResult> LinkEpoch();
 
   /// Epochs sealed so far.
@@ -106,39 +97,28 @@ class IncrementalLinker {
   /// first LinkEpoch.
   const std::vector<LinkedEntityPair>& links() const { return links_; }
   /// Top-k positive-score candidates of left entity `u` from the last
-  /// sealed epoch, sorted by (score desc, v asc). Candidates, not links:
-  /// this ranks every scored pair of u, whether or not matching kept it.
-  /// Empty when u is unknown or scored no positive pair.
+  /// sealed epoch, sorted by (score desc, v asc): u's edges in that
+  /// epoch's graph. Candidates, not links: this ranks every positive
+  /// scored pair of u, whether or not matching kept it. Empty when u is
+  /// unknown or scored no positive pair.
   std::vector<LinkedEntityPair> TopK(EntityId u, size_t k) const;
   /// The live context (post-compaction view of everything ingested).
   const LinkageContext& context() const { return ctx_; }
-  const SlimConfig& config() const { return config_; }
+  const SlimConfig& config() const { return linker_.config(); }
   /// Total records ingested (and folded in) per side since construction.
   uint64_t total_records(LinkageSide side) const {
     return side == LinkageSide::kE ? total_records_e_ : total_records_i_;
   }
 
  private:
-  // One left entity's scored candidates: (right EntityId, score)
-  // ascending by id, including non-positive scores (a cached negative is
-  // as reusable as a cached positive).
-  using ScoreRow = std::vector<std::pair<EntityId, double>>;
-
-  SlimConfig config_;
+  SlimLinker linker_;
   LinkageContext ctx_;
   int epoch_ = 0;
-
-  // Dirty state accumulated by Ingest, consumed by LinkEpoch.
-  bool structural_pending_ = false;
-  std::set<EntityId> dirty_e_, dirty_i_;
   uint64_t pending_records_e_ = 0, pending_records_i_ = 0;
   uint64_t total_records_e_ = 0, total_records_i_ = 0;
-
-  // Carried across epochs: the LSH index (signature donor), the score
-  // rows sorted by left EntityId, and the last epoch's links.
-  std::optional<LshIndex> lsh_;
-  std::vector<std::pair<EntityId, ScoreRow>> rows_;
+  // The last sealed epoch's links and (u, v)-sorted graph.
   std::vector<LinkedEntityPair> links_;
+  BipartiteGraph graph_;
 };
 
 }  // namespace slim

@@ -257,8 +257,7 @@ BinVocabulary BinVocabulary::Build(
   return vocab;
 }
 
-BinId BinVocabulary::Intern(int64_t window, CellId cell, bool* created) {
-  if (created != nullptr) *created = false;
+BinId BinVocabulary::Intern(int64_t window, CellId cell) {
   if (const auto found = Find(window, cell); found.has_value()) return *found;
   const auto key = std::make_pair(window, cell);
   if (const auto it = pending_.find(key); it != pending_.end()) {
@@ -268,7 +267,6 @@ BinId BinVocabulary::Intern(int64_t window, CellId cell, bool* created) {
   SLIM_CHECK_MSG(id < static_cast<size_t>(UINT32_MAX),
                  "bin vocabulary exceeds 2^32 entries");
   pending_.emplace(key, static_cast<BinId>(id));
-  if (created != nullptr) *created = true;
   return static_cast<BinId>(id);
 }
 
@@ -483,39 +481,24 @@ LinkageContext LinkageContext::Build(const LocationDataset& dataset_e,
   return ctx;
 }
 
-LinkageContext::AppendSummary LinkageContext::AppendRecords(
-    LinkageSide side, std::span<const Record> records) {
-  AppendSummary summary;
-  summary.records = records.size();
+void LinkageContext::AppendRecords(LinkageSide side,
+                                   std::span<const Record> records) {
   HistoryStore& store = side == LinkageSide::kE ? store_e : store_i;
   // Deterministic per-entity grouping of the (arbitrarily ordered) batch.
   std::map<EntityId, std::vector<Record>> by_entity;
   for (const Record& r : records) by_entity[r.entity].push_back(r);
-  summary.entities = by_entity.size();
   std::vector<std::pair<BinId, uint32_t>> delta;
   for (const auto& [entity, recs] : by_entity) {
     const std::vector<TimeLocationBin> bins =
         GroupRecordsIntoBins(recs, config);
-    const auto idx = store.IndexOf(entity);
-    if (!idx.has_value()) summary.new_entities = true;
     delta.clear();
     delta.reserve(bins.size());
     for (const TimeLocationBin& bin : bins) {
-      bool created = false;
-      const BinId id = vocab.Intern(bin.window, bin.cell, &created);
-      if (created) {
-        summary.new_bins = true;
-      } else if (idx.has_value() && id < vocab.size()) {
-        const auto span = store.bins(*idx);
-        if (!std::binary_search(span.begin(), span.end(), id)) {
-          summary.new_bins = true;
-        }
-      }
-      delta.emplace_back(id, bin.record_count);
+      delta.emplace_back(vocab.Intern(bin.window, bin.cell),
+                         bin.record_count);
     }
     store.Append(entity, delta, recs.size());
   }
-  return summary;
 }
 
 bool LinkageContext::has_pending() const {

@@ -77,10 +77,8 @@ class BinVocabulary {
   /// Pending bins carry provisional ids in [size(), size() +
   /// pending_size()), assigned in first-intern order; they are invisible
   /// to size()/window()/cell()/Find() until Compact() folds them into the
-  /// (window, cell)-sorted id space. `created` (optional) reports whether
-  /// this call interned a bin unseen by both the compacted vocabulary and
-  /// the pending set.
-  BinId Intern(int64_t window, CellId cell, bool* created = nullptr);
+  /// (window, cell)-sorted id space.
+  BinId Intern(int64_t window, CellId cell);
   bool has_pending() const { return !pending_.empty(); }
   size_t pending_size() const { return pending_.size(); }
 
@@ -279,27 +277,12 @@ struct LinkageContext {
                               const LocationDataset& dataset_i,
                               const HistoryConfig& config, int threads = 0);
 
-  /// What one AppendRecords batch did, in terms the incremental linker's
-  /// invalidation logic cares about (core/incremental.h): any structural
-  /// growth — a new entity, a bin new to the vocabulary, or a known bin
-  /// new to an existing entity's history — shifts dataset-level
-  /// statistics (|U|, avg|H|, IDF), so every cached pair score goes
-  /// stale; pure count increments on existing (entity, bin) pairs leave
-  /// untouched pairs' scores bit-identical.
-  struct AppendSummary {
-    uint64_t records = 0;      // records buffered by this call
-    size_t entities = 0;       // distinct entities they touch
-    bool new_entities = false; // >= 1 entity absent from the store
-    bool new_bins = false;     // >= 1 bin new to vocab or to its entity
-  };
-
   /// Buffers `records` (any order; new or existing entities) for one
   /// side: bins them with the context's HistoryConfig, interns new
   /// (window, cell) bins into the vocabulary's pending set, and queues
   /// per-entity deltas on the side's store. Readers see nothing until
   /// Compact().
-  AppendSummary AppendRecords(LinkageSide side,
-                              std::span<const Record> records);
+  void AppendRecords(LinkageSide side, std::span<const Record> records);
   bool has_pending() const;
 
   /// Applies every buffered append: compacts the vocabulary and rebuilds

@@ -1,40 +1,40 @@
-// Sharded, memory-bounded linkage driver (SlimLinker::LinkSharded).
+// The block plan of the linkage driver (SlimLinker::Link, core/slim.h).
 //
-// The monolithic pipeline (core/slim.h) materialises one candidate index
-// and the full edge set for the whole problem — fine at the 10k scale, but
-// the candidate + scoring working set is what caps how far one run can go.
-// This driver partitions BOTH sides into contiguous EntityIdx ranges over
-// the dense stores — L left shards x K right shards — and runs
+// One candidate index and the full edge set for the whole problem is fine
+// at the 10k scale, but the candidate + scoring working set is what caps
+// how far one run can go. The driver therefore partitions BOTH sides into
+// contiguous EntityIdx ranges over the dense stores — L left shards x K
+// right shards — and runs
 //
 //   context (global)  — vocabulary, CSR stores, IDF: built once over BOTH
-//                       full datasets, exactly as the monolithic path does,
-//                       because every score reads dataset-level statistics.
-//                       With SlimConfig::sctx_path set the context is
-//                       mmap-backed (core/sctx.h) instead of heap-resident,
-//                       so this stage costs page cache, not RSS.
+//                       full datasets, whatever the plan, because every
+//                       score reads dataset-level statistics. With
+//                       SlimConfig::sctx_path set the context is
+//                       mmap-backed (core/sctx.h) instead of
+//                       heap-resident, so this stage costs page cache, not
+//                       RSS.
 //   per block         — a block-restricted candidate index
 //                       (MakeShardCandidateGenerator over one L x K block)
 //                       and the scoring of that block on the shared
-//                       ThreadPool; the block's positive edges stream into
-//                       an external edge sort (core/edge_spill.h) and the
-//                       block's index is dropped before the next block
-//                       builds.
-//   merge (global)    — the spilled runs k-way-merge back in the canonical
-//                       edge orders and feed the same matching + GMM
-//                       threshold tail the monolithic driver runs
-//                       (internal::SealLinkageStreamed); with
+//                       ThreadPool; the block's positive edges go to one
+//                       EdgeSpill (core/edge_spill.h; an external sort when
+//                       there is more than one block) and the block's index
+//                       is dropped before the next block builds.
+//   seal (global)     — the spill yields the canonical edge orders to one
+//                       matching + GMM threshold pass; with
 //                       SlimConfig::keep_graph false the greedy matcher
 //                       consumes the score-ordered stream directly and the
 //                       full edge set never lives in memory at once.
 //
-// Because block candidate sets are exact restrictions of the monolithic
+// Because block candidate sets are exact restrictions of the full
 // candidate set (the LSH query grid and the grid-blocking hotspot cap are
-// taken from the full context — see core/candidates.h) and the merge fixes
-// the same canonical edge orders, the links are bit-identical to Link() at
-// every (L, K, threads) combination; tests/test_sharded.cc pins this
-// against the committed goldens. Peak RSS of the candidate + scoring
-// stages scales with the largest block, not the stores — bench_sharded and
-// bench_scale measure the curves.
+// taken from the full context — see core/candidates.h) and the seal fixes
+// the same canonical edge orders, the links are bit-identical at every
+// (L, K, threads) combination; tests/test_sharded.cc pins this against the
+// committed goldens. Peak RSS of the candidate + scoring stages scales
+// with the largest block, not the stores — bench_sharded and bench_scale
+// measure the curves. The default plan is 1 x 1: one block, spill in
+// memory.
 //
 // K comes from SlimConfig::shards, or — when that is 0 — from
 // SlimConfig::shard_memory_budget_bytes via EstimateShardPlan's
@@ -48,7 +48,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/edge_spill.h"
 #include "core/slim.h"
 
 namespace slim {
@@ -96,8 +95,8 @@ struct ShardPlan {
 uint64_t EstimateBlockBytesPerEntity(const LinkageContext& context,
                                      uint64_t rss_before_context);
 
-/// The plan LinkSharded executes. K: config.shards when positive, else the
-/// smallest K whose estimated per-block working set
+/// The plan the linkage driver executes. K: config.shards when positive,
+/// else the smallest K whose estimated per-block working set
 /// (per_entity_bytes * shard size) fits config.shard_memory_budget_bytes,
 /// else one shard. L: config.left_shards clamped to [1, lefts].
 ShardPlan EstimateShardPlan(const LinkageContext& context,

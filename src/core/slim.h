@@ -10,6 +10,12 @@
 //   4. matching — maximum-sum matching
 //   5. threshold — fit the 2-component GMM over matched edge weights and
 //                 keep only links above the detected stop threshold.
+//
+// One driver runs every linkage — Link, LinkShardedContext, and each
+// IncrementalLinker epoch (core/incremental.h). Stages 2-3 run once per
+// block of the L x K shard plan (core/sharded.h; 1 x 1 by default), each
+// block's edges go to one EdgeSpill (core/edge_spill.h), and one seal
+// runs stages 4-5 over the spill.
 #ifndef SLIM_CORE_SLIM_H_
 #define SLIM_CORE_SLIM_H_
 
@@ -73,13 +79,13 @@ struct SlimConfig {
   /// thread count.
   int threads = 0;
 
-  /// Right-side shard count K for LinkSharded (core/sharded.h). 0 derives
-  /// the count from shard_memory_budget_bytes (1 when no budget is set
-  /// either); K >= 1 forces K contiguous EntityIdx shards. Links are
+  /// Right-side shard count K of the block plan (core/sharded.h). 0
+  /// derives the count from shard_memory_budget_bytes (1 when no budget is
+  /// set either); K >= 1 forces K contiguous EntityIdx shards. Links are
   /// bit-identical at every shard count.
   int shards = 0;
 
-  /// Left-side shard count L for LinkSharded. The driver scores L x K
+  /// Left-side shard count L of the block plan. The driver scores L x K
   /// blocks, so the candidate index and scoring working set scale with one
   /// block of each side instead of the full left store. <= 1 keeps the left
   /// side whole. Links are bit-identical at every (L, K).
@@ -92,26 +98,27 @@ struct SlimConfig {
   /// CurrentPeakRssBytes-calibrated estimate). 0 means unbounded.
   uint64_t shard_memory_budget_bytes = 0;
 
-  /// When non-empty, LinkSharded runs against an mmap-backed SCTX context
+  /// When non-empty, Link runs against an mmap-backed SCTX context
   /// (core/sctx.h) at this path instead of a heap-resident one: an existing
   /// file is mapped directly (the datasets are not re-interned); a missing
   /// file is built from the datasets, serialized, and the heap copy freed
   /// before mapping. Scores and links are bit-identical either way.
   std::string sctx_path;
 
-  /// Run-buffer budget for the sharded driver's external edge sort
-  /// (core/edge_spill.h): edges accumulate up to this many bytes before one
-  /// sorted run spills; the k-way merge's read buffers share the same
-  /// bound. Only a memory/IO trade-off — never affects links.
+  /// Run-buffer budget for the driver's external edge sort
+  /// (core/edge_spill.h), used by plans of more than one block: edges
+  /// accumulate up to this many bytes before one sorted run spills; the
+  /// k-way merge's read buffers share the same bound. Only a memory/IO
+  /// trade-off — never affects links.
   uint64_t spill_run_bytes = uint64_t{64} << 20;
 
-  /// When false, LinkSharded skips materialising LinkageResult::graph (the
+  /// When false, the seal skips materialising LinkageResult::graph (the
   /// full positive-score edge set) and streams edges straight into the
   /// greedy matcher in score order — the O(edges) -> O(matching) memory
   /// step the 1M-scale preset needs. Links, matching, and threshold are
   /// bit-identical; only `graph` comes back empty. Ignored (treated as
-  /// true) by the monolithic Link() and by the Hungarian matcher, which
-  /// needs the whole graph resident anyway.
+  /// true) by the Hungarian matcher, which needs the whole graph resident
+  /// anyway, and by IncrementalLinker, whose TopK reads the graph.
   bool keep_graph = true;
 };
 
@@ -152,7 +159,9 @@ struct LinkageResult {
 
   /// Wall-clock seconds per phase. seconds_lsh times the candidate stage
   /// whatever the generator (the name is kept for bench-record
-  /// compatibility).
+  /// compatibility). seconds_matching times the whole seal — edge
+  /// ordering, graph, matching, and the stop threshold — so seconds_total
+  /// minus the four stage fields is ~0 on every entry point.
   double seconds_histories = 0.0;
   double seconds_lsh = 0.0;
   double seconds_scoring = 0.0;
@@ -168,13 +177,13 @@ struct LinkageResult {
   uint64_t rss_peak_matching = 0;
   uint64_t rss_peak_total = 0;
 
-  /// Sharded-driver provenance (LinkSharded; 1 / 0 / false on the
-  /// monolithic path). spilled_edges counts edges that passed through the
-  /// per-block spill before the merge; spill_on_disk says whether the spill
-  /// actually reached a temporary file (it degrades to memory when no
-  /// tmpfile is available). spill_bytes_written totals spill-file writes
-  /// including the resort pass; merge_passes counts k-way merges the
-  /// external sort ran (core/edge_spill.h).
+  /// Block-plan provenance: the L x K plan the driver ran. spilled_edges
+  /// counts edges that passed through the spill before the seal;
+  /// spill_on_disk says whether the spill actually reached a temporary
+  /// file (only multi-block plans spill, and a spill degrades to memory
+  /// when no tmpfile is available). spill_bytes_written totals spill-file
+  /// writes including the resort pass; merge_passes counts k-way merges
+  /// the external sort ran (core/edge_spill.h). Both are 0 in memory.
   int shards_used = 1;
   int left_shards_used = 1;
   uint64_t spilled_edges = 0;
@@ -194,25 +203,22 @@ class SlimLinker {
   /// Links dataset_e (left, "E") to dataset_i (right, "I"). Both datasets
   /// must be finalized. Returns the full LinkageResult; an empty result
   /// (no links) is success, not an error.
+  ///
+  /// Candidates and scoring run per L x K block — config().left_shards x
+  /// config().shards of them, or as many right shards as
+  /// config().shard_memory_budget_bytes demands, 1 x 1 by default — with
+  /// the block edges streaming through an external sort when there is
+  /// more than one block, then one global matching + threshold seal.
+  /// Links, matching, graph (when kept), and stats sums are bit-identical
+  /// at every (L, K, threads); peak memory of the candidate + scoring
+  /// stages scales with the largest block instead of the full stores.
+  /// With config().sctx_path set, the context is serialized/mapped via
+  /// core/sctx.h instead of held on the heap.
   Result<LinkageResult> Link(const LocationDataset& dataset_e,
                              const LocationDataset& dataset_i) const;
 
-  /// The sharded, memory-bounded driver (core/sharded.h): candidates and
-  /// scoring run per L x K block — config().left_shards x config().shards
-  /// of them, or as many right shards as
-  /// config().shard_memory_budget_bytes demands — with the block edges
-  /// streaming through an external sort, then one global matching +
-  /// threshold pass. Links, matching, graph (when kept), and stats sums
-  /// are bit-identical to Link() at every (L, K, threads); peak memory of
-  /// the candidate + scoring stages scales with the largest block instead
-  /// of the full stores. With config().sctx_path set, the context is
-  /// serialized/mapped via core/sctx.h instead of held on the heap.
-  /// Implemented in core/sharded.cc.
-  Result<LinkageResult> LinkSharded(const LocationDataset& dataset_e,
-                                    const LocationDataset& dataset_i) const;
-
-  /// LinkSharded's block + merge stages over an already-built context —
-  /// e.g. one mapped from an SCTX file (core/sctx.h) so the datasets never
+  /// Link's block + seal stages over an already-built context — e.g. one
+  /// mapped from an SCTX file (core/sctx.h) so the datasets never
   /// re-intern. `context` must outlive the call; result timings report 0
   /// for the context-build phase. When config().candidates == kLsh the
   /// context must have its window trees (HistoryStore::has_trees).
@@ -222,32 +228,6 @@ class SlimLinker {
  private:
   SlimConfig config_;
 };
-
-class EdgeSpill;  // core/edge_spill.h
-
-namespace internal {
-
-/// Shared pipeline tail used by both drivers so they cannot drift: fixes
-/// the canonical (u, v) edge order, builds the scored graph, runs the
-/// matching, detects the stop threshold, and emits the final links into
-/// `result` (also filling seconds_matching / rss_peak_matching). `edges`
-/// may arrive in any order; equal results in, equal results out.
-void SealLinkage(const SlimConfig& config, std::vector<WeightedEdge> edges,
-                 LinkageResult* result);
-
-/// The streaming form of SealLinkage over an external edge sort
-/// (core/edge_spill.h): seals the spill, then either materialises the
-/// (u, v)-ordered stream into the graph and delegates to SealLinkage
-/// (keep_graph, or the Hungarian matcher, which needs the graph resident),
-/// or feeds the (weight desc, u, v)-ordered stream straight into the
-/// incremental greedy matcher so only the matching is ever held in memory.
-/// Both paths produce bit-identical links/matching/threshold; the
-/// streaming path leaves result->graph empty. IoError from a truncated or
-/// corrupt spill propagates; `result` is unusable on error.
-Status SealLinkageStreamed(const SlimConfig& config, EdgeSpill* spill,
-                           LinkageResult* result);
-
-}  // namespace internal
 
 }  // namespace slim
 

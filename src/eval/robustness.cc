@@ -159,10 +159,7 @@ SweepPoint RunSweepPoint(const LocationDataset& a, const LocationDataset& b,
     db.FilterMinRecords(options.min_records);
   }
 
-  const SlimLinker linker(options.config);
-  const bool use_sharded = options.config.shards > 0 ||
-                           options.config.shard_memory_budget_bytes > 0;
-  auto result = use_sharded ? linker.LinkSharded(da, db) : linker.Link(da, db);
+  auto result = SlimLinker(options.config).Link(da, db);
   SLIM_CHECK_MSG(result.ok(), result.status().ToString().c_str());
 
   SweepPoint point;

@@ -63,31 +63,6 @@ LshIndex LshIndex::Build(const std::vector<Entry>& side_e,
                          const std::vector<Entry>& side_i,
                          const LshConfig& config, int threads,
                          const LshWindowSpan* fixed_span) {
-  return BuildImpl(side_e, side_i, config, threads, fixed_span, nullptr,
-                   nullptr, nullptr);
-}
-
-LshIndex LshIndex::BuildReusing(const LshIndex& previous,
-                                const std::vector<Entry>& side_e,
-                                const std::vector<Entry>& side_i,
-                                const std::vector<uint8_t>& fresh_e,
-                                const std::vector<uint8_t>& fresh_i,
-                                const LshConfig& config, int threads,
-                                const LshWindowSpan* fixed_span) {
-  SLIM_CHECK_MSG(fresh_e.size() == side_e.size() &&
-                     fresh_i.size() == side_i.size(),
-                 "fresh flags must parallel the side entries");
-  return BuildImpl(side_e, side_i, config, threads, fixed_span, &previous,
-                   &fresh_e, &fresh_i);
-}
-
-LshIndex LshIndex::BuildImpl(const std::vector<Entry>& side_e,
-                             const std::vector<Entry>& side_i,
-                             const LshConfig& config, int threads,
-                             const LshWindowSpan* fixed_span,
-                             const LshIndex* previous,
-                             const std::vector<uint8_t>* fresh_e,
-                             const std::vector<uint8_t>* fresh_i) {
   SLIM_CHECK_MSG(config.num_buckets >= 1, "num_buckets must be >= 1");
   LshIndex index;
   index.candidates_.resize(side_e.size());
@@ -122,38 +97,17 @@ LshIndex LshIndex::BuildImpl(const std::vector<Entry>& side_e,
   }
 
   const int64_t w_end = w_hi + 1;
-  index.span_ = {w_lo, w_end};
-  if (previous != nullptr) {
-    // Signature reuse is only sound over an identical query grid; the
-    // incremental caller compares spans and falls back to Build() when
-    // the grid moved, so a mismatch here is a caller bug.
-    SLIM_CHECK_MSG(previous->span_.lo == w_lo && previous->span_.end == w_end,
-                   "BuildReusing over a different query-grid span");
-  }
 
   // Signatures: one per entity, independent of each other — shard over
   // entities into pre-sized vectors (entity order fixed by the caller).
-  // With a `previous` index, an entity flagged not-fresh copies its old
-  // signature instead of recomputing it (bit-identical: BuildSignature is
-  // pure in the tree and the grid, and neither changed for it).
   index.left_signatures_.resize(side_e.size());
   index.right_signatures_.resize(side_i.size());
   auto build_side = [&](const std::vector<Entry>& side,
-                        const std::vector<uint8_t>* fresh, bool left,
                         std::vector<LshSignature>& out) {
     ParallelFor(
         side.size(),
         [&](size_t begin, size_t end, int) {
           for (size_t k = begin; k < end; ++k) {
-            if (previous != nullptr && fresh != nullptr && (*fresh)[k] == 0) {
-              const LshSignature* prev =
-                  left ? previous->LeftSignature(side[k].entity)
-                       : previous->RightSignature(side[k].entity);
-              if (prev != nullptr) {
-                out[k] = *prev;
-                continue;
-              }
-            }
             out[k] = BuildSignature(*side[k].tree, w_lo, w_end,
                                     config.temporal_step_windows,
                                     config.signature_spatial_level);
@@ -161,8 +115,8 @@ LshIndex LshIndex::BuildImpl(const std::vector<Entry>& side_e,
         },
         threads);
   };
-  build_side(side_e, fresh_e, true, index.left_signatures_);
-  build_side(side_i, fresh_i, false, index.right_signatures_);
+  build_side(side_e, index.left_signatures_);
+  build_side(side_i, index.right_signatures_);
   index.signature_size_ =
       !index.left_signatures_.empty()
           ? index.left_signatures_.front().size()

@@ -67,29 +67,6 @@ class LshIndex {
                         const LshConfig& config, int threads = 0,
                         const LshWindowSpan* fixed_span = nullptr);
 
-  /// Rebuilds the index over updated sides, reusing the signature of any
-  /// entity whose history did not change since `previous` was built
-  /// (fresh_X[k] == 0, positions parallel to side_X) and that `previous`
-  /// indexed. BuildSignature is a pure function of (tree, span, step,
-  /// level), so a reused signature is bit-identical to a recomputed one;
-  /// the banding, bucket, and candidate stages always run from scratch,
-  /// making the result identical to Build() over the same inputs at every
-  /// thread count. `previous` must have been built under the same config
-  /// and over the same query-grid span (CHECK-enforced against span());
-  /// when the span moved, fall back to Build().
-  static LshIndex BuildReusing(const LshIndex& previous,
-                               const std::vector<Entry>& side_e,
-                               const std::vector<Entry>& side_i,
-                               const std::vector<uint8_t>& fresh_e,
-                               const std::vector<uint8_t>& fresh_i,
-                               const LshConfig& config, int threads = 0,
-                               const LshWindowSpan* fixed_span = nullptr);
-
-  /// The query-grid span this index was built over ([0, 0) when nothing
-  /// was occupied). An incremental caller compares it against the next
-  /// epoch's span to decide between BuildReusing and a fresh Build.
-  const LshWindowSpan& span() const { return span_; }
-
   /// Sorted, de-duplicated right-side candidates for left entity `u`,
   /// materialised as entity ids (empty when u collided with nothing or was
   /// not indexed). Lists ascend by right-side Build() position, which is
@@ -121,13 +98,6 @@ class LshIndex {
   // Sorted (entity, Build position) pairs for one side.
   using PositionIndex = std::vector<std::pair<EntityId, uint32_t>>;
 
-  static LshIndex BuildImpl(const std::vector<Entry>& side_e,
-                            const std::vector<Entry>& side_i,
-                            const LshConfig& config, int threads,
-                            const LshWindowSpan* fixed_span,
-                            const LshIndex* previous,
-                            const std::vector<uint8_t>* fresh_e,
-                            const std::vector<uint8_t>* fresh_i);
   static PositionIndex IndexPositions(const std::vector<Entry>& side);
   static const uint32_t* FindPosition(const PositionIndex& index,
                                       EntityId entity);
@@ -144,7 +114,6 @@ class LshIndex {
   size_t signature_size_ = 0;
   int num_bands_ = 0;
   int rows_per_band_ = 0;
-  LshWindowSpan span_;
 };
 
 }  // namespace slim

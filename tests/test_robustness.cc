@@ -273,7 +273,7 @@ TEST(RobustnessSweep, BitIdenticalAcrossShardCounts) {
   ASSERT_TRUE(mono.ok()) << mono.status().ToString();
   for (const int shards : {1, 3}) {
     config.shards = shards;
-    auto sharded = SlimLinker(config).LinkSharded(a, b);
+    auto sharded = SlimLinker(config).Link(a, b);
     ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
     EXPECT_EQ(mono->links, sharded->links) << shards << " shard(s)";
   }

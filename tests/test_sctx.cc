@@ -7,8 +7,8 @@
 //     for every candidate generator.
 //   * build_trees = false loads a context without the window-tree heap;
 //     brute/grid pipelines run unchanged on it (LSH requires trees).
-//   * LinkSharded with SlimConfig::sctx_path serializes on the first run,
-//     maps on every run, and matches the monolithic driver either way.
+//   * Link with SlimConfig::sctx_path serializes on the first run, maps
+//     on every run, and matches the heap-context default run either way.
 //   * Corrupt inputs (bad magic, version skew, truncation, trailing
 //     garbage) fail with a Status, mirroring tests/test_sbin.cc.
 #include "core/sctx.h"
@@ -204,7 +204,7 @@ TEST_P(SctxPipeline, SctxPathDriverSerializesOnceThenMaps) {
   config.sctx_path = Path("driver.sctx");
   config.left_shards = 2;
   config.shards = 2;
-  const auto first = SlimLinker(config).LinkSharded(Sample().a, Sample().b);
+  const auto first = SlimLinker(config).Link(Sample().a, Sample().b);
   ASSERT_TRUE(first.ok()) << first.status().ToString();
   EXPECT_EQ(first->links, reference->links);
   ASSERT_TRUE(std::filesystem::exists(config.sctx_path));
@@ -212,7 +212,7 @@ TEST_P(SctxPipeline, SctxPathDriverSerializesOnceThenMaps) {
   // Second run: the file exists — mapped directly, same links. Corrupting
   // nothing between runs, the bytes must be stable (one build, one file).
   const auto before = ReadFile(config.sctx_path);
-  const auto second = SlimLinker(config).LinkSharded(Sample().a, Sample().b);
+  const auto second = SlimLinker(config).Link(Sample().a, Sample().b);
   ASSERT_TRUE(second.ok()) << second.status().ToString();
   EXPECT_EQ(second->links, reference->links);
   EXPECT_EQ(ReadFile(config.sctx_path), before);

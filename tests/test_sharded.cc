@@ -1,6 +1,6 @@
 // The sharded linkage driver's contract (core/sharded.h):
 //
-//   * LinkSharded is bit-identical to the monolithic Link at every
+//   * Link is bit-identical to its default one-block run at every
 //     (left shards x right shards x threads), for every candidate
 //     generator — including against the committed pre-refactor goldens
 //     (tests/golden/), and with the graph-free streaming matcher.
@@ -388,8 +388,7 @@ TEST_P(ShardedDriver, MatchesTheMonolithicPathAtEveryShardAndThreadCount) {
       config.left_shards = left_shards;
       config.shards = shards;
       config.threads = threads;
-      const auto sharded = SlimLinker(config).LinkSharded(Sample().a,
-                                                          Sample().b);
+      const auto sharded = SlimLinker(config).Link(Sample().a, Sample().b);
       ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
       EXPECT_EQ(sharded->shards_used, shards);
       EXPECT_EQ(sharded->left_shards_used, left_shards);
@@ -424,7 +423,7 @@ TEST_P(ShardedDriver, StreamingMatcherMatchesWithoutTheGraph) {
   config.keep_graph = false;
   config.left_shards = 2;
   config.shards = 3;
-  const auto streamed = SlimLinker(config).LinkSharded(Sample().a, Sample().b);
+  const auto streamed = SlimLinker(config).Link(Sample().a, Sample().b);
   ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
   EXPECT_EQ(streamed->graph.num_edges(), 0u);
   EXPECT_EQ(streamed->links, reference->links);
@@ -453,7 +452,7 @@ TEST_P(ShardedDriver, BudgetDrivenRunMatchesToo) {
   // A deliberately small budget so the planner actually shards.
   config.shards = 0;
   config.shard_memory_budget_bytes = 1u << 20;
-  const auto sharded = SlimLinker(config).LinkSharded(Sample().a, Sample().b);
+  const auto sharded = SlimLinker(config).Link(Sample().a, Sample().b);
   ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
   EXPECT_GE(sharded->shards_used, 1);
   ExpectIdenticalResults(*reference, *sharded, "budget-driven");
@@ -472,7 +471,7 @@ TEST(ShardedDriver, EmptySidesShortCircuit) {
   empty.Finalize();
   SlimConfig config;
   config.shards = 4;
-  const auto result = SlimLinker(config).LinkSharded(empty, Sample().b);
+  const auto result = SlimLinker(config).Link(empty, Sample().b);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->links.empty());
   EXPECT_EQ(result->possible_pairs, 0u);
@@ -481,7 +480,7 @@ TEST(ShardedDriver, EmptySidesShortCircuit) {
 TEST(ShardedDriver, RequiresFinalizedDatasets) {
   LocationDataset raw("raw");
   raw.Add(1, {37.7, -122.4}, 1000);
-  const auto result = SlimLinker(SlimConfig{}).LinkSharded(raw, Sample().b);
+  const auto result = SlimLinker(SlimConfig{}).Link(raw, Sample().b);
   EXPECT_FALSE(result.ok());
 }
 
@@ -555,8 +554,7 @@ TEST_F(ShardedGoldenLinks, EveryGeneratorShardCountAndThreadCount) {
         config.left_shards = left_shards;
         config.shards = shards;
         config.threads = threads;
-        const auto result =
-            SlimLinker(config).LinkSharded(A(), B());
+        const auto result = SlimLinker(config).Link(A(), B());
         ASSERT_TRUE(result.ok()) << result.status().ToString();
         EXPECT_EQ(FormatLinks(result->links), golden)
             << c.golden << " left_shards=" << left_shards

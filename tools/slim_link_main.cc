@@ -79,27 +79,27 @@ void Usage() {
       "  --min_records N       drop entities with fewer records (default 6)\n"
       "  --threads N           worker threads for every pipeline stage\n"
       "                        (default: SLIM_THREADS env, else hardware)\n"
-      "  --shards K            run the sharded driver with K contiguous\n"
-      "                        right-side shards; links are bit-identical\n"
-      "                        to the monolithic path at every K\n"
-      "  --memory_budget_mb M  run the sharded driver with as many shards\n"
-      "                        as an M-MB per-block budget demands\n"
+      "  --shards K            split the right side into K contiguous\n"
+      "                        shards scored block by block; links are\n"
+      "                        bit-identical at every K (default 1)\n"
+      "  --memory_budget_mb M  use as many right shards as an M-MB\n"
+      "                        per-block budget demands\n"
       "                        (ignored when --shards is given)\n"
-      "  --left_shards L       sharded driver: also split the LEFT side\n"
-      "                        into L contiguous shards (L x K blocks);\n"
-      "                        links are bit-identical at every (L, K)\n"
-      "  --sctx PATH           sharded driver: serialize the built context\n"
-      "                        to PATH on first use, then memory-map it\n"
-      "                        read-only (SCTX; core/sctx.h). An existing\n"
-      "                        file is mapped directly without re-interning\n"
-      "                        the datasets\n"
-      "  --no_graph            sharded driver: skip materialising the edge\n"
-      "                        graph and stream score-ordered edges into\n"
-      "                        the greedy matcher (bounded memory; links\n"
-      "                        are bit-identical, the bench JSON just\n"
-      "                        lacks graph-derived fields)\n"
-      "  --spill_run_mb M      sharded driver: external-sort run-buffer\n"
-      "                        budget in MB (default 64)\n"
+      "  --left_shards L       also split the LEFT side into L contiguous\n"
+      "                        shards (L x K blocks); links are\n"
+      "                        bit-identical at every (L, K)\n"
+      "  --sctx PATH           serialize the built context to PATH on\n"
+      "                        first use, then memory-map it read-only\n"
+      "                        (SCTX; core/sctx.h). An existing file is\n"
+      "                        mapped directly without re-interning the\n"
+      "                        datasets\n"
+      "  --no_graph            skip materialising the edge graph and\n"
+      "                        stream score-ordered edges into the greedy\n"
+      "                        matcher (bounded memory; links are\n"
+      "                        bit-identical, the bench JSON just lacks\n"
+      "                        graph-derived fields)\n"
+      "  --spill_run_mb M      external-sort run-buffer budget in MB for\n"
+      "                        plans of more than one block (default 64)\n"
       "  --report PATH         also write a markdown linkage report\n"
       "  --bench_json PATH     also write per-stage wall times, distance-\n"
       "                        cache efficacy, peak RSS, and shard\n"
@@ -209,12 +209,6 @@ int main(int argc, char** argv) {
   }
   config.spill_run_bytes =
       static_cast<uint64_t>(spill_run_mb) * (uint64_t{1} << 20);
-  // Any sharding/scale knob selects the sharded driver; otherwise the
-  // monolithic path runs (the outputs are bit-identical either way).
-  const bool use_sharded =
-      config.shards > 0 || config.left_shards > 1 ||
-      config.shard_memory_budget_bytes > 0 || !config.sctx_path.empty() ||
-      !config.keep_graph;
 
   const std::string thr = flags.GetString("threshold", "gmm");
   if (thr == "gmm") {
@@ -248,10 +242,10 @@ int main(int argc, char** argv) {
   }
 
   const slim::SlimLinker linker(config);
-  auto result = use_sharded ? linker.LinkSharded(*a, *b) : linker.Link(*a, *b);
+  auto result = linker.Link(*a, *b);
   if (!result.ok()) slim::tools::Flags::Fail(result.status().ToString());
 
-  if (use_sharded) {
+  if (result->left_shards_used * result->shards_used > 1) {
     std::fprintf(
         stderr,
         "sharded driver: %d x %d block(s), %llu edges via %s "
