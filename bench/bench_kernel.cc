@@ -1,29 +1,21 @@
 // Scoring-kernel micro bench — the machine-readable perf record for the
-// SIMD intersection / IDF-contribution primitives (core/score_kernel.h).
+// sorted-span intersection primitives (core/score_kernel.h).
 //
-// Times every CPU-supported kernel variant over a fixed grid of span
-// shapes (balanced dense-overlap spans at two sizes plus a skewed
-// galloping shape) for the i64 window intersection, the u32 bin
-// intersection, and the batched IDF contributions, and writes
+// Times the branchless linear merge over a fixed grid of span shapes
+// (balanced dense-overlap spans at two sizes plus a skewed shape) for the
+// i64 window intersection and the u32 bin intersection, and writes
 // BENCH_kernel.json (schema slim-bench-kernel-v1): reps, wall seconds and
-// ns per processed element per (op, shape, kernel) cell. Three gates ride
-// along:
+// ns per processed element per (op, shape) cell, each tagged with the
+// kernel name "scalar". One gate rides along:
 //
-//   * Determinism: before any timing, every variant's full output on every
-//     shape is compared against the scalar reference — any mismatch (match
-//     positions or contribution bits) aborts with exit code 1.
-//   * SIMD speedup: the AVX2 intersection must beat the scalar one by
-//     >= 1.5x (geometric mean over the intersect cells, computed from this
-//     same run). Printed as SKIPPED — not failed — on CPUs without AVX2.
-//   * Scalar regression (--baseline FILE): the scalar ns/element of any
-//     cell more than 2x its committed baseline fails with exit code 1,
-//     so a "faster SIMD" change can never quietly pessimise the portable
-//     reference path everyone else falls back to.
+//   * Regression (--baseline FILE): the ns/element of any cell more than
+//     2x its committed baseline fails with exit code 1. Baseline cells of
+//     other kernel names (records from before the scalar merge became the
+//     only path) and of ops this bench no longer times are skipped.
 //
 // Flags: --quick (shorter calibration target), --out FILE (default
 // BENCH_kernel.json), --baseline FILE. See docs/BENCHMARKS.md.
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -40,7 +32,6 @@ namespace slim {
 namespace {
 
 constexpr double kRegressionFactor = 2.0;
-constexpr double kSpeedupGate = 1.5;
 
 double Seconds(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -49,9 +40,8 @@ double Seconds(std::chrono::steady_clock::time_point t0) {
 
 // One timed cell of the grid.
 struct KernelRun {
-  std::string op;      // "intersect_i64", "intersect_u32", "idf"
-  std::string shape;   // "<len_a>x<len_b>"
-  ScoreKernel kernel = ScoreKernel::kScalar;
+  std::string op;     // "intersect_i64", "intersect_u32"
+  std::string shape;  // "<len_a>x<len_b>"
   uint64_t reps = 0;
   double seconds = 0.0;
   double ns_per_element = 0.0;  // seconds / (reps * (len_a + len_b))
@@ -68,9 +58,8 @@ struct KernelRunRecord {
 // A bursty span pair modelling mobility window lists: runs of consecutive
 // windows (active periods) separated by long idle gaps. A run is shared by
 // both sides (a co-visited period), or private to one side, with equal
-// probability — so most block pairs are range-disjoint, which is the shape
-// the kernels' skip path is built for, with dense match regions inside the
-// shared runs.
+// probability — long disjoint stretches with dense match regions inside
+// the shared runs.
 template <typename T>
 struct SpanPair {
   std::vector<T> a, b;
@@ -104,9 +93,6 @@ volatile uint64_t g_sink = 0;
 struct Workload {
   SpanPair<int64_t> i64;
   SpanPair<uint32_t> u32;
-  // IDF batch: positions into the idf tables plus the tables themselves.
-  std::vector<uint32_t> bins_a, bins_b;
-  std::vector<double> idf_a, idf_b;
   std::string shape;
   size_t len_a = 0, len_b = 0;
 };
@@ -118,22 +104,13 @@ Workload MakeWorkload(std::mt19937_64& rng, size_t len_a, size_t len_b) {
   w.shape = std::to_string(len_a) + "x" + std::to_string(len_b);
   w.i64 = MakeSpanPair<int64_t>(rng, len_a, len_b);
   w.u32 = MakeSpanPair<uint32_t>(rng, len_a, len_b);
-  const size_t vocab = 4096;
-  w.idf_a.resize(vocab);
-  w.idf_b.resize(vocab);
+  // Make the draws the retired IDF cells made here (two 4096-entry tables,
+  // then two bin ids per matched position), so every later workload keeps
+  // the spans its committed baseline cell was measured on.
   std::uniform_real_distribution<double> idf(0.1, 14.0);
-  for (size_t k = 0; k < vocab; ++k) {
-    w.idf_a[k] = idf(rng);
-    w.idf_b[k] = idf(rng);
-  }
-  const size_t batch = std::min(len_a, len_b);
-  std::uniform_int_distribution<uint32_t> bin(0, vocab - 1);
-  w.bins_a.resize(batch);
-  w.bins_b.resize(batch);
-  for (size_t k = 0; k < batch; ++k) {
-    w.bins_a[k] = bin(rng);
-    w.bins_b[k] = bin(rng);
-  }
+  for (size_t k = 0; k < 2 * 4096; ++k) idf(rng);
+  std::uniform_int_distribution<uint32_t> bin(0, 4095);
+  for (size_t k = 0; k < 2 * std::min(len_a, len_b); ++k) bin(rng);
   return w;
 }
 
@@ -153,39 +130,6 @@ void Calibrate(double target_seconds, KernelRun* run, Body body) {
   }
   run->reps = reps;
   run->seconds = elapsed;
-}
-
-// Exact-output cross-check of one variant against scalar on one workload.
-bool VariantMatchesScalar(const ScoreKernelOps& ops,
-                          const ScoreKernelOps& scalar, const Workload& w) {
-  const size_t cap = std::min(w.len_a, w.len_b);
-  std::vector<uint32_t> oa(cap), ob(cap), ra(cap), rb(cap);
-  const size_t n64 =
-      ops.intersect_i64(w.i64.a.data(), w.i64.a.size(), w.i64.b.data(),
-                        w.i64.b.size(), oa.data(), ob.data());
-  const size_t r64 =
-      scalar.intersect_i64(w.i64.a.data(), w.i64.a.size(), w.i64.b.data(),
-                           w.i64.b.size(), ra.data(), rb.data());
-  if (n64 != r64 || !std::equal(oa.begin(), oa.begin() + n64, ra.begin()) ||
-      !std::equal(ob.begin(), ob.begin() + n64, rb.begin())) {
-    return false;
-  }
-  const size_t n32 =
-      ops.intersect_u32(w.u32.a.data(), w.u32.a.size(), w.u32.b.data(),
-                        w.u32.b.size(), oa.data(), ob.data());
-  const size_t r32 =
-      scalar.intersect_u32(w.u32.a.data(), w.u32.a.size(), w.u32.b.data(),
-                           w.u32.b.size(), ra.data(), rb.data());
-  if (n32 != r32 || !std::equal(oa.begin(), oa.begin() + n32, ra.begin()) ||
-      !std::equal(ob.begin(), ob.begin() + n32, rb.begin())) {
-    return false;
-  }
-  std::vector<double> got(w.bins_a.size()), want(w.bins_a.size());
-  ops.idf_contributions(w.bins_a.data(), w.bins_b.data(), w.bins_a.size(),
-                        w.idf_a.data(), w.idf_b.data(), 1.37, got.data());
-  scalar.idf_contributions(w.bins_a.data(), w.bins_b.data(), w.bins_a.size(),
-                           w.idf_a.data(), w.idf_b.data(), 1.37, want.data());
-  return got == want;  // exact double equality — the kernel contract
 }
 
 // Minimal reader for committed slim-bench-kernel-v1 baselines: scans for
@@ -253,87 +197,45 @@ int Main(int argc, char** argv) {
   }
   const double target_seconds = quick ? 0.08 : 0.4;
 
-  std::vector<ScoreKernel> kernels = {ScoreKernel::kScalar};
-  if (ScoreKernelSupported(ScoreKernel::kSse42)) {
-    kernels.push_back(ScoreKernel::kSse42);
-  }
-  if (ScoreKernelSupported(ScoreKernel::kAvx2)) {
-    kernels.push_back(ScoreKernel::kAvx2);
-  }
-
   std::printf("==================================================\n");
-  std::printf("scoring-kernel micro bench — sorted-span intersection + IDF "
-              "batches\n");
-  std::printf("variants:");
-  for (const ScoreKernel k : kernels) std::printf(" %s", ScoreKernelName(k));
-  std::printf("; auto resolves to %s\n",
-              ScoreKernelName(ResolveScoreKernel(ScoreKernel::kAuto)));
+  std::printf("scoring-kernel micro bench — sorted-span intersection\n");
   std::printf("==================================================\n");
 
-  // Balanced dense-overlap spans at two sizes, plus a 128:1 skew that
-  // drives IntersectSorted* onto the galloping path.
+  // Balanced dense-overlap spans at two sizes, plus a 128:1 skew (the
+  // engine would gallop there; the cell times the linear merge).
   std::mt19937_64 rng(20260807);
   std::vector<Workload> workloads;
   workloads.push_back(MakeWorkload(rng, 256, 256));
   workloads.push_back(MakeWorkload(rng, 4096, 4096));
   workloads.push_back(MakeWorkload(rng, 128, 16384));
 
-  // Gate 1: exactness before speed.
-  const ScoreKernelOps& scalar_ops = GetScoreKernelOps(ScoreKernel::kScalar);
-  for (const ScoreKernel kernel : kernels) {
-    for (const Workload& w : workloads) {
-      if (!VariantMatchesScalar(GetScoreKernelOps(kernel), scalar_ops, w)) {
-        std::fprintf(stderr,
-                     "DETERMINISM FAILURE: kernel %s diverges from scalar on "
-                     "shape %s\n",
-                     ScoreKernelName(kernel), w.shape.c_str());
-        return 1;
-      }
-    }
-  }
-
   TablePrinter table({"op", "shape", "kernel", "reps", "seconds",
                       "ns_per_element"});
   std::vector<KernelRun> runs;
   for (const Workload& w : workloads) {
-    for (const ScoreKernel kernel : kernels) {
-      const ScoreKernelOps& ops = GetScoreKernelOps(kernel);
-      const size_t cap = std::min(w.len_a, w.len_b);
-      std::vector<uint32_t> oa(cap), ob(cap);
-      std::vector<double> contrib(w.bins_a.size());
+    const size_t cap = std::min(w.len_a, w.len_b);
+    std::vector<uint32_t> oa(cap), ob(cap);
 
-      KernelRun i64_run{"intersect_i64", w.shape, kernel};
-      Calibrate(target_seconds, &i64_run, [&] {
-        return ops.intersect_i64(w.i64.a.data(), w.i64.a.size(),
-                                 w.i64.b.data(), w.i64.b.size(), oa.data(),
-                                 ob.data());
-      });
-      KernelRun u32_run{"intersect_u32", w.shape, kernel};
-      Calibrate(target_seconds, &u32_run, [&] {
-        return ops.intersect_u32(w.u32.a.data(), w.u32.a.size(),
-                                 w.u32.b.data(), w.u32.b.size(), oa.data(),
-                                 ob.data());
-      });
-      KernelRun idf_run{"idf", w.shape, kernel};
-      Calibrate(target_seconds, &idf_run, [&] {
-        ops.idf_contributions(w.bins_a.data(), w.bins_b.data(),
-                              w.bins_a.size(), w.idf_a.data(), w.idf_b.data(),
-                              1.37, contrib.data());
-        return static_cast<uint64_t>(contrib[0]);
-      });
+    KernelRun i64_run{"intersect_i64", w.shape};
+    Calibrate(target_seconds, &i64_run, [&] {
+      return IntersectLinearI64(w.i64.a.data(), w.i64.a.size(),
+                                w.i64.b.data(), w.i64.b.size(), oa.data(),
+                                ob.data());
+    });
+    KernelRun u32_run{"intersect_u32", w.shape};
+    Calibrate(target_seconds, &u32_run, [&] {
+      return IntersectLinearU32(w.u32.a.data(), w.u32.a.size(),
+                                w.u32.b.data(), w.u32.b.size(), oa.data(),
+                                ob.data());
+    });
 
-      for (KernelRun* run : {&i64_run, &u32_run, &idf_run}) {
-        const double elements =
-            run->op == "idf"
-                ? static_cast<double>(w.bins_a.size())
-                : static_cast<double>(w.len_a + w.len_b);
-        run->ns_per_element =
-            run->seconds * 1e9 / (static_cast<double>(run->reps) * elements);
-        table.AddRow({run->op, run->shape, ScoreKernelName(run->kernel),
-                      std::to_string(run->reps), Fmt(run->seconds, 3),
-                      Fmt(run->ns_per_element, 3)});
-        runs.push_back(*run);
-      }
+    for (KernelRun* run : {&i64_run, &u32_run}) {
+      const double elements = static_cast<double>(w.len_a + w.len_b);
+      run->ns_per_element =
+          run->seconds * 1e9 / (static_cast<double>(run->reps) * elements);
+      table.AddRow({run->op, run->shape, "scalar", std::to_string(run->reps),
+                    Fmt(run->seconds, 3), Fmt(run->ns_per_element, 3)});
+      runs.push_back(*run);
     }
   }
   table.Print();
@@ -350,7 +252,7 @@ int Main(int argc, char** argv) {
     json.BeginObject();
     json.Key("op").Value(run.op);
     json.Key("shape").Value(run.shape);
-    json.Key("kernel").Value(ScoreKernelName(run.kernel));
+    json.Key("kernel").Value("scalar");
     json.Key("reps").Value(run.reps);
     json.Key("seconds").Value(run.seconds);
     json.Key("ns_per_element").Value(run.ns_per_element);
@@ -367,46 +269,15 @@ int Main(int argc, char** argv) {
   out.close();
   std::printf("wrote %s (%zu runs)\n", out_path.c_str(), runs.size());
 
-  auto find_run = [&](const std::string& op, const std::string& shape,
-                      ScoreKernel kernel) -> const KernelRun* {
+  auto find_run = [&](const std::string& op,
+                      const std::string& shape) -> const KernelRun* {
     for (const KernelRun& run : runs) {
-      if (run.op == op && run.shape == shape && run.kernel == kernel) {
-        return &run;
-      }
+      if (run.op == op && run.shape == shape) return &run;
     }
     return nullptr;
   };
 
-  // Gate 2: AVX2 must actually pay for itself on the intersections,
-  // measured against the scalar cells of this same run (baseline-free, so
-  // the gate also works on a fresh machine).
-  if (ScoreKernelSupported(ScoreKernel::kAvx2)) {
-    double log_sum = 0.0;
-    int cells = 0;
-    for (const Workload& w : workloads) {
-      for (const char* op : {"intersect_i64", "intersect_u32"}) {
-        const KernelRun* s = find_run(op, w.shape, ScoreKernel::kScalar);
-        const KernelRun* v = find_run(op, w.shape, ScoreKernel::kAvx2);
-        if (s == nullptr || v == nullptr || v->ns_per_element <= 0.0) continue;
-        log_sum += std::log(s->ns_per_element / v->ns_per_element);
-        ++cells;
-      }
-    }
-    const double geomean = cells > 0 ? std::exp(log_sum / cells) : 0.0;
-    std::printf("simd gate: avx2 intersect speedup %.2fx (geomean over %d "
-                "cells, gate %.1fx)\n",
-                geomean, cells, kSpeedupGate);
-    if (geomean < kSpeedupGate) {
-      std::fprintf(stderr,
-                   "SIMD GATE FAILURE: avx2 intersect speedup %.2fx < %.1fx\n",
-                   geomean, kSpeedupGate);
-      return 1;
-    }
-  } else {
-    std::printf("simd gate: SKIPPED (no AVX2 on this CPU)\n");
-  }
-
-  // Gate 3: scalar no-regression against the committed baseline.
+  // No-regression against the committed baseline.
   if (!baseline_path.empty()) {
     std::ifstream in(baseline_path);
     if (!in) {
@@ -425,7 +296,7 @@ int Main(int argc, char** argv) {
     int regressions = 0, compared = 0;
     for (const KernelRunRecord& b : baseline) {
       if (b.kernel != "scalar" || b.ns_per_element <= 0.0) continue;
-      const KernelRun* cur = find_run(b.op, b.shape, ScoreKernel::kScalar);
+      const KernelRun* cur = find_run(b.op, b.shape);
       if (cur == nullptr) continue;
       ++compared;
       if (cur->ns_per_element > kRegressionFactor * b.ns_per_element) {

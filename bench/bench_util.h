@@ -178,7 +178,7 @@ struct PipelineRunRecord {
   // records that predate two-sided sharding.
   int left_shards = 0;
   // External-sort provenance (slim-bench-scale-v1): bytes written to the
-  // spill file including the resort pass, and k-way merge passes run.
+  // spill file, and k-way merge passes run.
   // Both 0 for older records and for in-memory runs.
   uint64_t spill_bytes_written = 0;
   int merge_passes = 0;

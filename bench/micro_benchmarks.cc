@@ -1,5 +1,5 @@
 // google-benchmark micro suites for the performance-critical primitives:
-// spatial cells, window-tree queries, bin pairing, the SIMD score kernels,
+// spatial cells, window-tree queries, bin pairing, the span intersections,
 // similarity scoring, LSH index construction, matching, and the GMM fit.
 #include <benchmark/benchmark.h>
 
@@ -79,11 +79,6 @@ BENCHMARK(BM_DominatingCellQuery);
 
 // ------------------------------------------------------- score kernel ----
 
-// Args: {span length, kernel ordinal}. Skips (not fails) variants the CPU
-// cannot run, so the suite stays portable.
-constexpr ScoreKernel kKernelByOrdinal[] = {
-    ScoreKernel::kScalar, ScoreKernel::kSse42, ScoreKernel::kAvx2};
-
 // Two strictly ascending bursty spans of length n — runs of consecutive
 // windows separated by idle gaps, each run shared or private to one side —
 // the scoring loop's typical shape (see bench_kernel.cc).
@@ -111,85 +106,33 @@ std::pair<std::vector<T>, std::vector<T>> KernelBenchSpans(size_t n,
   return {std::move(a), std::move(b)};
 }
 
+// Args: {span length}. Times the linear merge (the engine's path for
+// balanced spans).
 void BM_KernelIntersectI64(benchmark::State& state) {
-  const ScoreKernel kernel = kKernelByOrdinal[state.range(1)];
-  if (!ScoreKernelSupported(kernel)) {
-    state.SkipWithError("kernel unsupported on this CPU");
-    return;
-  }
-  const ScoreKernelOps& ops = GetScoreKernelOps(kernel);
   const size_t n = static_cast<size_t>(state.range(0));
   const auto [a, b] = KernelBenchSpans<int64_t>(n, 12);
   std::vector<uint32_t> oa(n), ob(n);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ops.intersect_i64(a.data(), a.size(), b.data(),
-                                               b.size(), oa.data(),
-                                               ob.data()));
+    benchmark::DoNotOptimize(IntersectLinearI64(
+        a.data(), a.size(), b.data(), b.size(), oa.data(), ob.data()));
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(2 * n));
-  state.SetLabel(ScoreKernelName(kernel));
 }
-BENCHMARK(BM_KernelIntersectI64)
-    ->ArgsProduct({{64, 1024, 16384}, {0, 1, 2}});
+BENCHMARK(BM_KernelIntersectI64)->Arg(64)->Arg(1024)->Arg(16384);
 
 void BM_KernelIntersectU32(benchmark::State& state) {
-  const ScoreKernel kernel = kKernelByOrdinal[state.range(1)];
-  if (!ScoreKernelSupported(kernel)) {
-    state.SkipWithError("kernel unsupported on this CPU");
-    return;
-  }
-  const ScoreKernelOps& ops = GetScoreKernelOps(kernel);
   const size_t n = static_cast<size_t>(state.range(0));
   const auto [a, b] = KernelBenchSpans<uint32_t>(n, 13);
   std::vector<uint32_t> oa(n), ob(n);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ops.intersect_u32(a.data(), a.size(), b.data(),
-                                               b.size(), oa.data(),
-                                               ob.data()));
+    benchmark::DoNotOptimize(IntersectLinearU32(
+        a.data(), a.size(), b.data(), b.size(), oa.data(), ob.data()));
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(2 * n));
-  state.SetLabel(ScoreKernelName(kernel));
 }
-BENCHMARK(BM_KernelIntersectU32)
-    ->ArgsProduct({{64, 1024, 16384}, {0, 1, 2}});
-
-void BM_KernelIdfContributions(benchmark::State& state) {
-  const ScoreKernel kernel = kKernelByOrdinal[state.range(1)];
-  if (!ScoreKernelSupported(kernel)) {
-    state.SkipWithError("kernel unsupported on this CPU");
-    return;
-  }
-  const ScoreKernelOps& ops = GetScoreKernelOps(kernel);
-  const size_t n = static_cast<size_t>(state.range(0));
-  std::mt19937_64 rng(14);
-  std::uniform_real_distribution<double> idf(0.1, 14.0);
-  std::uniform_int_distribution<uint32_t> bin(0, 4095);
-  std::vector<double> idf_a(4096), idf_b(4096), out(n);
-  for (auto& v : idf_a) v = idf(rng);
-  for (auto& v : idf_b) v = idf(rng);
-  std::vector<uint32_t> bins_a(n), bins_b(n);
-  for (size_t k = 0; k < n; ++k) {
-    bins_a[k] = bin(rng);
-    bins_b[k] = bin(rng);
-  }
-  for (auto _ : state) {
-    ops.idf_contributions(bins_a.data(), bins_b.data(), n, idf_a.data(),
-                          idf_b.data(), 1.37, out.data());
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
-  state.SetLabel(ScoreKernelName(kernel));
-}
-BENCHMARK(BM_KernelIdfContributions)
-    ->ArgsProduct({{16, 256, 4096}, {0, 1, 2}});
+BENCHMARK(BM_KernelIntersectU32)->Arg(64)->Arg(1024)->Arg(16384);
 
 void BM_KernelIntersectSkewedGallop(benchmark::State& state) {
-  const ScoreKernel kernel = kKernelByOrdinal[state.range(0)];
-  if (!ScoreKernelSupported(kernel)) {
-    state.SkipWithError("kernel unsupported on this CPU");
-    return;
-  }
-  const ScoreKernelOps& ops = GetScoreKernelOps(kernel);
   // 128:1 skew — IntersectSortedI64 takes the galloping path.
   const auto [big, _unused] = KernelBenchSpans<int64_t>(16384, 15);
   std::mt19937_64 rng(16);
@@ -201,14 +144,13 @@ void BM_KernelIntersectSkewedGallop(benchmark::State& state) {
   std::vector<uint32_t> oa(small.size()), ob(small.size());
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        IntersectSortedI64(ops, small.data(), small.size(), big.data(),
+        IntersectSortedI64(small.data(), small.size(), big.data(),
                            big.size(), oa.data(), ob.data()));
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(small.size() + big.size()));
-  state.SetLabel(ScoreKernelName(kernel));
 }
-BENCHMARK(BM_KernelIntersectSkewedGallop)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_KernelIntersectSkewedGallop);
 
 // --------------------------------------------------------- similarity ----
 

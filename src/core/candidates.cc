@@ -147,11 +147,6 @@ class GridBlockingCandidates final : public CandidateGenerator {
 
     const uint32_t cap = config.max_bin_entities;
     const uint32_t min_overlap = config.min_overlap_records;
-    // The quantized-overlap prefilter runs on whatever kernel the CPU
-    // resolves to — it is integer-exact, so the surviving pairs are the
-    // same on every kernel and shard layout.
-    const ScoreKernelOps& ops =
-        GetScoreKernelOps(ResolveScoreKernel(ScoreKernel::kAuto));
     // Per-left co-visit gathering touches only that left's own bins, so
     // restricting the loop to the block's left range changes nothing about
     // the lists it does build.
@@ -176,7 +171,7 @@ class GridBlockingCandidates final : public CandidateGenerator {
             list.erase(std::unique(list.begin(), list.end()), list.end());
             if (min_overlap > 1) {
               std::erase_if(list, [&](EntityIdx v) {
-                return QuantizedOverlap(ops, se.bins(u), se.quantized_counts(u),
+                return QuantizedOverlap(se.bins(u), se.quantized_counts(u),
                                         si.bins(v), si.quantized_counts(v),
                                         &match_a, &match_b) < min_overlap;
               });

@@ -143,7 +143,6 @@ EdgeSpill::EdgeSpill(EdgeSpillOptions options) : options_(std::move(options)) {
 
 EdgeSpill::~EdgeSpill() {
   if (file_ != nullptr) std::fclose(file_);
-  if (resorted_file_ != nullptr) std::fclose(resorted_file_);
   if (!options_.spill_path.empty()) std::remove(options_.spill_path.c_str());
 }
 
@@ -203,56 +202,23 @@ void EdgeSpill::SpillRun() {
   buffer_.shrink_to_fit();
 }
 
-Status EdgeSpill::ResortRuns(EdgeOrder order) {
-  std::FILE* out = std::tmpfile();
-  if (out == nullptr) {
-    return Status::IoError("cannot create resort spill file");
-  }
-  std::vector<WeightedEdge> run_buf;
-  for (const Run& run : runs_) {
-    run_buf.resize(static_cast<size_t>(run.count));
-    if (std::fseek(file_,
-                   static_cast<long>(run.begin * sizeof(WeightedEdge)),
-                   SEEK_SET) != 0 ||
-        std::fread(run_buf.data(), sizeof(WeightedEdge), run_buf.size(),
-                   file_) != run_buf.size()) {
-      std::fclose(out);
-      return Status::IoError(
-          "edge spill short read (truncated or corrupt spill file)");
-    }
-    SortEdges(order, &run_buf);
-    if (std::fwrite(run_buf.data(), sizeof(WeightedEdge), run_buf.size(),
-                    out) != run_buf.size()) {
-      std::fclose(out);
-      return Status::IoError("edge spill resort write failed");
-    }
-    spill_bytes_written_ +=
-        static_cast<uint64_t>(run.count) * sizeof(WeightedEdge);
-  }
-  resorted_file_ = out;
-  resorted_runs_ = runs_;  // identical extents, rewritten sequentially
-  resorted_valid_ = true;
-  return Status::Ok();
-}
-
-Status EdgeSpill::MergeRuns(std::FILE* file, const std::vector<Run>& runs,
-                            EdgeOrder order,
-                            const std::function<void(const WeightedEdge&)>& fn) {
+Status EdgeSpill::MergeRuns(
+    const std::function<void(const WeightedEdge&)>& fn) {
   ++merge_passes_;
-  if (runs.empty()) return Status::Ok();
-  const size_t k = runs.size();
+  if (runs_.empty()) return Status::Ok();
+  const size_t k = runs_.size();
   // The merge's read buffers share the run budget: k cursors plus slack.
   const size_t per_cursor = std::max<size_t>(
       4096, options_.run_bytes / sizeof(WeightedEdge) / (k + 1));
   std::vector<RunCursor> cursors;
   cursors.reserve(k);
-  for (const Run& run : runs) {
-    cursors.emplace_back(file, run.begin, run.count, per_cursor);
+  for (const Run& run : runs_) {
+    cursors.emplace_back(file_, run.begin, run.count, per_cursor);
   }
   for (RunCursor& c : cursors) {
     if (Status s = c.Prime(); !s.ok()) return s;
   }
-  LoserTree tree(&cursors, order);
+  LoserTree tree(&cursors, options_.run_order);
   while (true) {
     const size_t w = tree.winner();
     if (w >= k || cursors[w].exhausted()) break;
@@ -268,23 +234,23 @@ Status EdgeSpill::Scan(EdgeOrder order,
                        const std::function<void(const WeightedEdge&)>& fn) {
   SLIM_CHECK_MSG(sealed_, "EdgeSpill::Scan before Seal");
   SLIM_CHECK_MSG(!drained_, "EdgeSpill::Scan after Drain");
+  SLIM_CHECK_MSG(order == options_.run_order,
+                 "EdgeSpill::Scan must request the run order");
   if (file_ == nullptr) {
-    // Memory mode: a full sort replaces the merge; same total orders, same
+    // Memory mode: a full sort replaces the merge; same total order, same
     // sequence.
     SortEdges(order, &buffer_);
     for (const WeightedEdge& e : buffer_) fn(e);
     return Status::Ok();
   }
-  if (order == options_.run_order) return MergeRuns(file_, runs_, order, fn);
-  if (!resorted_valid_) {
-    if (Status s = ResortRuns(order); !s.ok()) return s;
-  }
-  return MergeRuns(resorted_file_, resorted_runs_, order, fn);
+  return MergeRuns(fn);
 }
 
 Status EdgeSpill::Drain(EdgeOrder order, std::vector<WeightedEdge>* out) {
   SLIM_CHECK_MSG(sealed_ && !drained_,
                  "EdgeSpill::Drain before Seal or after Drain");
+  SLIM_CHECK_MSG(order == options_.run_order,
+                 "EdgeSpill::Drain must request the run order");
   Status status = Status::Ok();
   if (file_ == nullptr) {
     SortEdges(order, &buffer_);

@@ -1,29 +1,11 @@
 #include "core/score_kernel.h"
 
 #include <algorithm>
-#include <bit>
-#include <cstdlib>
-#include <string>
 
 #include "common/check.h"
-#include "common/cpu.h"
-
-#if (defined(__x86_64__) || defined(__i386__)) && \
-    (defined(__GNUC__) || defined(__clang__))
-#define SLIM_X86_KERNELS 1
-#include <immintrin.h>
-#else
-#define SLIM_X86_KERNELS 0
-#endif
 
 namespace slim {
 namespace {
-
-// ---------------------------------------------------------------------------
-// Scalar reference kernels. Every other variant must reproduce these
-// bit-for-bit; the differential tests in tests/test_score_kernel.cc hold
-// them to that.
-// ---------------------------------------------------------------------------
 
 // Branchless two-pointer merge. Candidate-pair window lists interleave
 // finely (two users active over the same days), which makes the classic
@@ -36,8 +18,8 @@ namespace {
 // minimum. Visits the exact positions the branchy merge visits, in the
 // same order, so the emitted pairs are identical.
 template <typename T>
-size_t IntersectLinearScalar(const T* a, size_t na, const T* b, size_t nb,
-                             uint32_t* out_a, uint32_t* out_b) {
+size_t IntersectLinearImpl(const T* a, size_t na, const T* b, size_t nb,
+                           uint32_t* out_a, uint32_t* out_b) {
   size_t i = 0, j = 0, n = 0;
   while (i < na && j < nb) {
     const T ai = a[i];
@@ -51,363 +33,8 @@ size_t IntersectLinearScalar(const T* a, size_t na, const T* b, size_t nb,
   return n;
 }
 
-size_t IntersectI64Scalar(const int64_t* a, size_t na, const int64_t* b,
-                          size_t nb, uint32_t* out_a, uint32_t* out_b) {
-  return IntersectLinearScalar(a, na, b, nb, out_a, out_b);
-}
-
-size_t IntersectU32Scalar(const uint32_t* a, size_t na, const uint32_t* b,
-                          size_t nb, uint32_t* out_a, uint32_t* out_b) {
-  return IntersectLinearScalar(a, na, b, nb, out_a, out_b);
-}
-
-void IdfContributionsScalar(const uint32_t* bins_a, const uint32_t* bins_b,
-                            size_t n, const double* idf_a, const double* idf_b,
-                            double norm, double* out) {
-  for (size_t k = 0; k < n; ++k) {
-    out[k] = std::min(idf_a[bins_a[k]], idf_b[bins_b[k]]) / norm;
-  }
-}
-
-#if SLIM_X86_KERNELS
-
-// ---------------------------------------------------------------------------
-// SIMD skip-merge intersection.
-//
-// Mobility window lists are bursty: runs of consecutive windows (active /
-// co-visited periods) separated by long idle stretches, so a span pair is
-// mostly long disjoint regions punctuated by runs of equal values. The
-// merge exploits that structure without taxing the interleaved case (same
-// loop at every width W):
-//
-//   1. Element-first compare: the hot path is the plain two-pointer merge
-//      step — one compare per advanced element when the lists interleave
-//      finely, so tightly-interleaved span pairs (the common candidate-
-//      pair shape in the linkage engine) cost the same as the scalar
-//      kernel plus a single failed block probe.
-//   2. Nested block skip: only after a[i] < b[j] already holds is the
-//      block probe a[i + W - 1] < b[j] tried; when it hits, W provably
-//      matchless elements go on one compare, and a greedy 4W-stride loop
-//      keeps skipping through long disjoint gaps. Symmetric on b.
-//   3. Vector run path: at an equal pair that starts a run (next lanes
-//      also equal), load a W-lane block from each side; the contiguous
-//      equal-lane prefix is all genuine matches at aligned positions,
-//      emitted as two index-vector stores. Isolated equal pairs stay
-//      scalar.
-//
-// Every skip discards provably matchless elements (b is ascending, so
-// a[i + k] < b[j] for all k in the block means none of them can equal any
-// remaining b), and emissions happen only at positions where the scalar
-// merge would emit, in the same ascending order — so the output is
-// bit-identical to the scalar kernel on any input (the differential suite
-// in tests/test_score_kernel.cc holds every variant to that). A scalar
-// tail finishes the sub-W remainders.
-// ---------------------------------------------------------------------------
-
-__attribute__((target("sse4.2"))) size_t IntersectI64Sse42(
-    const int64_t* a, size_t na, const int64_t* b, size_t nb, uint32_t* out_a,
-    uint32_t* out_b) {
-  size_t i = 0, j = 0, n = 0;
-  while (i + 2 <= na && j + 2 <= nb) {
-    if (a[i] < b[j]) {
-      if (a[i + 1] < b[j]) {
-        i += 2;
-        while (i + 8 <= na && a[i + 7] < b[j]) i += 8;
-      } else {
-        ++i;
-      }
-      continue;
-    }
-    if (b[j] < a[i]) {
-      if (b[j + 1] < a[i]) {
-        j += 2;
-        while (j + 8 <= nb && b[j + 7] < a[i]) j += 8;
-      } else {
-        ++j;
-      }
-      continue;
-    }
-    if (a[i + 1] != b[j + 1]) {  // isolated match: no vector win at W == 2
-      out_a[n] = static_cast<uint32_t>(i);
-      out_b[n] = static_cast<uint32_t>(j);
-      ++n;
-      ++i;
-      ++j;
-      continue;
-    }
-    // Two aligned equal lanes (checked directly; W == 2 needs no load).
-    out_a[n] = static_cast<uint32_t>(i);
-    out_b[n] = static_cast<uint32_t>(j);
-    out_a[n + 1] = static_cast<uint32_t>(i + 1);
-    out_b[n + 1] = static_cast<uint32_t>(j + 1);
-    n += 2;
-    i += 2;
-    j += 2;
-  }
-  while (i < na && j < nb) {
-    if (a[i] < b[j]) {
-      ++i;
-    } else if (b[j] < a[i]) {
-      ++j;
-    } else {
-      out_a[n] = static_cast<uint32_t>(i);
-      out_b[n] = static_cast<uint32_t>(j);
-      ++n;
-      ++i;
-      ++j;
-    }
-  }
-  return n;
-}
-
-__attribute__((target("sse4.2"))) size_t IntersectU32Sse42(
-    const uint32_t* a, size_t na, const uint32_t* b, size_t nb, uint32_t* out_a,
-    uint32_t* out_b) {
-  size_t i = 0, j = 0, n = 0;
-  const __m128i iota = _mm_setr_epi32(0, 1, 2, 3);
-  while (i + 4 <= na && j + 4 <= nb) {
-    if (a[i] < b[j]) {
-      if (a[i + 3] < b[j]) {
-        i += 4;
-        while (i + 16 <= na && a[i + 15] < b[j]) i += 16;
-      } else {
-        ++i;
-      }
-      continue;
-    }
-    if (b[j] < a[i]) {
-      if (b[j + 3] < a[i]) {
-        j += 4;
-        while (j + 16 <= nb && b[j + 15] < a[i]) j += 16;
-      } else {
-        ++j;
-      }
-      continue;
-    }
-    if (a[i + 1] != b[j + 1]) {  // isolated match: stay scalar
-      out_a[n] = static_cast<uint32_t>(i);
-      out_b[n] = static_cast<uint32_t>(j);
-      ++n;
-      ++i;
-      ++j;
-      continue;
-    }
-    const __m128i va = _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i));
-    const __m128i vb = _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + j));
-    const unsigned eq = static_cast<unsigned>(
-        _mm_movemask_ps(_mm_castsi128_ps(_mm_cmpeq_epi32(va, vb))));
-    const unsigned t = std::countr_one(eq);  // >= 2: lanes 0 and 1 matched
-    if (t == 4) {
-      _mm_storeu_si128(
-          reinterpret_cast<__m128i*>(out_a + n),
-          _mm_add_epi32(iota, _mm_set1_epi32(static_cast<int>(i))));
-      _mm_storeu_si128(
-          reinterpret_cast<__m128i*>(out_b + n),
-          _mm_add_epi32(iota, _mm_set1_epi32(static_cast<int>(j))));
-    } else {
-      for (unsigned k = 0; k < t; ++k) {
-        out_a[n + k] = static_cast<uint32_t>(i + k);
-        out_b[n + k] = static_cast<uint32_t>(j + k);
-      }
-    }
-    n += t;
-    i += t;
-    j += t;
-  }
-  while (i < na && j < nb) {
-    if (a[i] < b[j]) {
-      ++i;
-    } else if (b[j] < a[i]) {
-      ++j;
-    } else {
-      out_a[n] = static_cast<uint32_t>(i);
-      out_b[n] = static_cast<uint32_t>(j);
-      ++n;
-      ++i;
-      ++j;
-    }
-  }
-  return n;
-}
-
-__attribute__((target("avx2"))) size_t IntersectI64Avx2(
-    const int64_t* a, size_t na, const int64_t* b, size_t nb, uint32_t* out_a,
-    uint32_t* out_b) {
-  size_t i = 0, j = 0, n = 0;
-  const __m128i iota = _mm_setr_epi32(0, 1, 2, 3);
-  while (i + 4 <= na && j + 4 <= nb) {
-    if (a[i] < b[j]) {
-      if (a[i + 3] < b[j]) {
-        i += 4;
-        while (i + 16 <= na && a[i + 15] < b[j]) i += 16;
-      } else {
-        ++i;
-      }
-      continue;
-    }
-    if (b[j] < a[i]) {
-      if (b[j + 3] < a[i]) {
-        j += 4;
-        while (j + 16 <= nb && b[j + 15] < a[i]) j += 16;
-      } else {
-        ++j;
-      }
-      continue;
-    }
-    if (a[i + 1] != b[j + 1]) {  // isolated match: stay scalar
-      out_a[n] = static_cast<uint32_t>(i);
-      out_b[n] = static_cast<uint32_t>(j);
-      ++n;
-      ++i;
-      ++j;
-      continue;
-    }
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + j));
-    const unsigned eq = static_cast<unsigned>(
-        _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpeq_epi64(va, vb))));
-    const unsigned t = std::countr_one(eq);  // >= 2: lanes 0 and 1 matched
-    if (t == 4) {
-      _mm_storeu_si128(
-          reinterpret_cast<__m128i*>(out_a + n),
-          _mm_add_epi32(iota, _mm_set1_epi32(static_cast<int>(i))));
-      _mm_storeu_si128(
-          reinterpret_cast<__m128i*>(out_b + n),
-          _mm_add_epi32(iota, _mm_set1_epi32(static_cast<int>(j))));
-    } else {
-      for (unsigned k = 0; k < t; ++k) {
-        out_a[n + k] = static_cast<uint32_t>(i + k);
-        out_b[n + k] = static_cast<uint32_t>(j + k);
-      }
-    }
-    n += t;
-    i += t;
-    j += t;
-  }
-  while (i < na && j < nb) {
-    if (a[i] < b[j]) {
-      ++i;
-    } else if (b[j] < a[i]) {
-      ++j;
-    } else {
-      out_a[n] = static_cast<uint32_t>(i);
-      out_b[n] = static_cast<uint32_t>(j);
-      ++n;
-      ++i;
-      ++j;
-    }
-  }
-  return n;
-}
-
-__attribute__((target("avx2"))) size_t IntersectU32Avx2(
-    const uint32_t* a, size_t na, const uint32_t* b, size_t nb, uint32_t* out_a,
-    uint32_t* out_b) {
-  size_t i = 0, j = 0, n = 0;
-  const __m256i iota = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
-  while (i + 8 <= na && j + 8 <= nb) {
-    if (a[i] < b[j]) {
-      if (a[i + 7] < b[j]) {
-        i += 8;
-        while (i + 32 <= na && a[i + 31] < b[j]) i += 32;
-      } else {
-        ++i;
-      }
-      continue;
-    }
-    if (b[j] < a[i]) {
-      if (b[j + 7] < a[i]) {
-        j += 8;
-        while (j + 32 <= nb && b[j + 31] < a[i]) j += 32;
-      } else {
-        ++j;
-      }
-      continue;
-    }
-    if (a[i + 1] != b[j + 1]) {  // isolated match: stay scalar
-      out_a[n] = static_cast<uint32_t>(i);
-      out_b[n] = static_cast<uint32_t>(j);
-      ++n;
-      ++i;
-      ++j;
-      continue;
-    }
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + j));
-    const unsigned eq = static_cast<unsigned>(
-        _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_cmpeq_epi32(va, vb))));
-    const unsigned t = std::countr_one(eq);  // >= 2: lanes 0 and 1 matched
-    if (t == 8) {
-      _mm256_storeu_si256(
-          reinterpret_cast<__m256i*>(out_a + n),
-          _mm256_add_epi32(iota, _mm256_set1_epi32(static_cast<int>(i))));
-      _mm256_storeu_si256(
-          reinterpret_cast<__m256i*>(out_b + n),
-          _mm256_add_epi32(iota, _mm256_set1_epi32(static_cast<int>(j))));
-    } else {
-      for (unsigned k = 0; k < t; ++k) {
-        out_a[n + k] = static_cast<uint32_t>(i + k);
-        out_b[n + k] = static_cast<uint32_t>(j + k);
-      }
-    }
-    n += t;
-    i += t;
-    j += t;
-  }
-  while (i < na && j < nb) {
-    if (a[i] < b[j]) {
-      ++i;
-    } else if (b[j] < a[i]) {
-      ++j;
-    } else {
-      out_a[n] = static_cast<uint32_t>(i);
-      out_b[n] = static_cast<uint32_t>(j);
-      ++n;
-      ++i;
-      ++j;
-    }
-  }
-  return n;
-}
-
-// Gathered min/div. IEEE min and division are exactly rounded elementwise
-// ops, so each lane equals the scalar expression bit-for-bit (idf values
-// are finite and non-negative — no NaN and no -0.0 to order differently).
-__attribute__((target("avx2"))) void IdfContributionsAvx2(
-    const uint32_t* bins_a, const uint32_t* bins_b, size_t n,
-    const double* idf_a, const double* idf_b, double norm, double* out) {
-  const __m256d vnorm = _mm256_set1_pd(norm);
-  // The masked gather form with a zeroed source avoids GCC's spurious
-  // "may be used uninitialized" on the plain gather's undefined source.
-  const __m256d zero = _mm256_setzero_pd();
-  const __m256d all = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
-  size_t k = 0;
-  for (; k + 4 <= n; k += 4) {
-    const __m128i ia =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(bins_a + k));
-    const __m128i ib =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(bins_b + k));
-    const __m256d ga = _mm256_mask_i32gather_pd(zero, idf_a, ia, all, 8);
-    const __m256d gb = _mm256_mask_i32gather_pd(zero, idf_b, ib, all, 8);
-    _mm256_storeu_pd(out + k, _mm256_div_pd(_mm256_min_pd(ga, gb), vnorm));
-  }
-  for (; k < n; ++k) {
-    out[k] = std::min(idf_a[bins_a[k]], idf_b[bins_b[k]]) / norm;
-  }
-}
-
-#endif  // SLIM_X86_KERNELS
-
-// ---------------------------------------------------------------------------
 // Galloping merge: drive the shorter span, exponential-probe + binary-search
-// the longer one. Purely scalar and shared by every variant, so the
-// length-ratio heuristic never changes results across kernels.
-// ---------------------------------------------------------------------------
-
+// the longer one.
 template <typename T>
 size_t GallopSmallIntoLarge(const T* s, size_t ns, const T* l, size_t nl,
                             uint32_t* out_s, uint32_t* out_l) {
@@ -439,9 +66,7 @@ size_t IntersectGallopImpl(const T* a, size_t na, const T* b, size_t nb,
 }
 
 template <typename T>
-size_t IntersectSortedImpl(size_t (*linear)(const T*, size_t, const T*, size_t,
-                                            uint32_t*, uint32_t*),
-                           const T* a, size_t na, const T* b, size_t nb,
+size_t IntersectSortedImpl(const T* a, size_t na, const T* b, size_t nb,
                            uint32_t* out_a, uint32_t* out_b) {
   if (na == 0 || nb == 0) return 0;
   const size_t lo = std::min(na, nb);
@@ -449,110 +74,23 @@ size_t IntersectSortedImpl(size_t (*linear)(const T*, size_t, const T*, size_t,
   if (hi > lo * kGallopSpanRatio) {
     return IntersectGallopImpl(a, na, b, nb, out_a, out_b);
   }
-  if (lo < kSmallSpanMinElements) {
-    // A dozen-element merge finishes before an indirect kernel call has
-    // paid for itself; candidate-pair window lists average ~12 windows a
-    // side, so this is the engine's hot shape. Same branchless merge as
-    // the scalar kernel — identical output by construction.
-    return IntersectLinearScalar(a, na, b, nb, out_a, out_b);
-  }
-  return linear(a, na, b, nb, out_a, out_b);
+  return IntersectLinearImpl(a, na, b, nb, out_a, out_b);
 }
 
 }  // namespace
 
-const char* ScoreKernelName(ScoreKernel kernel) {
-  switch (kernel) {
-    case ScoreKernel::kAuto:
-      return "auto";
-    case ScoreKernel::kScalar:
-      return "scalar";
-    case ScoreKernel::kSse42:
-      return "sse42";
-    case ScoreKernel::kAvx2:
-      return "avx2";
-  }
-  return "unknown";
+const char* ScoreKernelName(ScoreKernel /*kernel*/) { return "scalar"; }
+
+ScoreKernel ResolveScoreKernel(ScoreKernel requested) { return requested; }
+
+size_t IntersectLinearI64(const int64_t* a, size_t na, const int64_t* b,
+                          size_t nb, uint32_t* out_a, uint32_t* out_b) {
+  return IntersectLinearImpl(a, na, b, nb, out_a, out_b);
 }
 
-std::optional<ScoreKernel> ParseScoreKernel(std::string_view name) {
-  if (name == "auto") return ScoreKernel::kAuto;
-  if (name == "scalar") return ScoreKernel::kScalar;
-  if (name == "sse42") return ScoreKernel::kSse42;
-  if (name == "avx2") return ScoreKernel::kAvx2;
-  return std::nullopt;
-}
-
-bool ScoreKernelSupported(ScoreKernel kernel) {
-  switch (kernel) {
-    case ScoreKernel::kAuto:
-    case ScoreKernel::kScalar:
-      return true;
-    case ScoreKernel::kSse42:
-#if SLIM_X86_KERNELS
-      return CpuHasSse42();
-#else
-      return false;
-#endif
-    case ScoreKernel::kAvx2:
-#if SLIM_X86_KERNELS
-      return CpuHasAvx2();
-#else
-      return false;
-#endif
-  }
-  return false;
-}
-
-ScoreKernel ResolveScoreKernel(ScoreKernel requested) {
-  if (requested != ScoreKernel::kAuto) {
-    SLIM_CHECK_MSG(ScoreKernelSupported(requested),
-                   "requested score kernel is not supported by this CPU");
-    return requested;
-  }
-  if (const char* env = std::getenv("SLIM_KERNEL");
-      env != nullptr && env[0] != '\0') {
-    const auto parsed = ParseScoreKernel(env);
-    SLIM_CHECK_MSG(parsed.has_value(),
-                   "SLIM_KERNEL must be one of auto|scalar|sse42|avx2");
-    if (*parsed != ScoreKernel::kAuto) {
-      SLIM_CHECK_MSG(ScoreKernelSupported(*parsed),
-                     "SLIM_KERNEL names a kernel this CPU does not support");
-      return *parsed;
-    }
-  }
-  if (ScoreKernelSupported(ScoreKernel::kAvx2)) return ScoreKernel::kAvx2;
-  if (ScoreKernelSupported(ScoreKernel::kSse42)) return ScoreKernel::kSse42;
-  return ScoreKernel::kScalar;
-}
-
-const ScoreKernelOps& GetScoreKernelOps(ScoreKernel kernel) {
-  static const ScoreKernelOps scalar_ops = {
-      ScoreKernel::kScalar, &IntersectI64Scalar, &IntersectU32Scalar,
-      &IdfContributionsScalar};
-#if SLIM_X86_KERNELS
-  static const ScoreKernelOps sse42_ops = {
-      ScoreKernel::kSse42, &IntersectI64Sse42, &IntersectU32Sse42,
-      // No gather before AVX2; the scalar loop is already elementwise exact.
-      &IdfContributionsScalar};
-  static const ScoreKernelOps avx2_ops = {ScoreKernel::kAvx2,
-                                          &IntersectI64Avx2, &IntersectU32Avx2,
-                                          &IdfContributionsAvx2};
-#endif
-  SLIM_CHECK_MSG(kernel != ScoreKernel::kAuto,
-                 "resolve kAuto via ResolveScoreKernel first");
-  SLIM_CHECK_MSG(ScoreKernelSupported(kernel),
-                 "score kernel is not supported by this CPU");
-  switch (kernel) {
-#if SLIM_X86_KERNELS
-    case ScoreKernel::kSse42:
-      return sse42_ops;
-    case ScoreKernel::kAvx2:
-      return avx2_ops;
-#endif
-    default:
-      return scalar_ops;
-  }
+size_t IntersectLinearU32(const uint32_t* a, size_t na, const uint32_t* b,
+                          size_t nb, uint32_t* out_a, uint32_t* out_b) {
+  return IntersectLinearImpl(a, na, b, nb, out_a, out_b);
 }
 
 size_t IntersectGallopI64(const int64_t* a, size_t na, const int64_t* b,
@@ -565,16 +103,14 @@ size_t IntersectGallopU32(const uint32_t* a, size_t na, const uint32_t* b,
   return IntersectGallopImpl(a, na, b, nb, out_a, out_b);
 }
 
-size_t IntersectSortedI64(const ScoreKernelOps& ops, const int64_t* a,
-                          size_t na, const int64_t* b, size_t nb,
-                          uint32_t* out_a, uint32_t* out_b) {
-  return IntersectSortedImpl(ops.intersect_i64, a, na, b, nb, out_a, out_b);
+size_t IntersectSortedI64(const int64_t* a, size_t na, const int64_t* b,
+                          size_t nb, uint32_t* out_a, uint32_t* out_b) {
+  return IntersectSortedImpl(a, na, b, nb, out_a, out_b);
 }
 
-size_t IntersectSortedU32(const ScoreKernelOps& ops, const uint32_t* a,
-                          size_t na, const uint32_t* b, size_t nb,
-                          uint32_t* out_a, uint32_t* out_b) {
-  return IntersectSortedImpl(ops.intersect_u32, a, na, b, nb, out_a, out_b);
+size_t IntersectSortedU32(const uint32_t* a, size_t na, const uint32_t* b,
+                          size_t nb, uint32_t* out_a, uint32_t* out_b) {
+  return IntersectSortedImpl(a, na, b, nb, out_a, out_b);
 }
 
 void QuantizeCountsSaturating(std::span<const uint32_t> counts, uint16_t* out) {
@@ -583,8 +119,7 @@ void QuantizeCountsSaturating(std::span<const uint32_t> counts, uint16_t* out) {
   }
 }
 
-uint64_t QuantizedOverlap(const ScoreKernelOps& ops,
-                          std::span<const uint32_t> bins_a,
+uint64_t QuantizedOverlap(std::span<const uint32_t> bins_a,
                           std::span<const uint16_t> counts_a,
                           std::span<const uint32_t> bins_b,
                           std::span<const uint16_t> counts_b,
@@ -598,7 +133,7 @@ uint64_t QuantizedOverlap(const ScoreKernelOps& ops,
   if (match_a->size() < cap) match_a->resize(cap);
   if (match_b->size() < cap) match_b->resize(cap);
   const size_t n =
-      IntersectSortedU32(ops, bins_a.data(), bins_a.size(), bins_b.data(),
+      IntersectSortedU32(bins_a.data(), bins_a.size(), bins_b.data(),
                          bins_b.size(), match_a->data(), match_b->data());
   uint64_t sum = 0;
   for (size_t k = 0; k < n; ++k) {

@@ -1,134 +1,73 @@
-// SIMD scoring kernels for the sparse inner loops of SimilarityEngine.
+// Scoring primitives for the sparse inner loops of SimilarityEngine.
 //
-// SLIM's score (Eq. 2) spends its time in two sparse primitives over the
-// dense CSR layout of core/linkage_context.h:
-//
-//   1. sorted-span intersection — matching the occupied-window lists of an
-//      entity pair (int64 window indices) and, inside a window, their BinId
-//      spans (uint32);
-//   2. IDF-weighted accumulation — min(idf_e, idf_i) / norm over the
-//      matched bin pairs.
-//
-// This header exposes those primitives behind a kernel-variant table
-// (ScoreKernelOps) with a scalar reference implementation plus SSE4.2 and
-// AVX2 variants selected at runtime (common/cpu.h probes; per-function
-// target attributes, so the build needs no global -mavx2). Every variant is
-// exact, not approximate:
-//
-//   * intersections operate on integers, so matched positions are
-//     bit-identical across variants by construction;
-//   * the float path uses only elementwise exactly-rounded IEEE ops
-//     (min, div) and leaves the final summation to the caller in a fixed
-//     scalar order, so scores are bit-identical too.
-//
-// That is what lets tests/test_score_kernel.cc demand exact equality (0 ULP)
-// between variants and lets the golden link files pin every kernel.
+// SLIM's score (Eq. 2) spends its time in sorted-span intersection over the
+// dense CSR layout of core/linkage_context.h: matching the occupied-window
+// lists of an entity pair (int64 window indices) and, for the grid
+// prefilter, their BinId spans (uint32). There is one implementation: a
+// branchless two-pointer merge, with a galloping search when one span is
+// much longer than the other. Both operate on integers and emit the same
+// matched positions in the same order, so the choice between them never
+// changes a score.
 //
 // Intersection inputs must be STRICTLY ascending (no duplicates inside one
 // span). The CSR window lists and per-window BinId spans satisfy this by
 // construction; it is what makes "each left element matches at most one
-// right element" true and the SIMD block algorithm exact.
+// right element" true.
 #ifndef SLIM_CORE_SCORE_KERNEL_H_
 #define SLIM_CORE_SCORE_KERNEL_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <span>
-#include <string_view>
 #include <vector>
 
 namespace slim {
 
-/// Which scoring kernel variant to run. kAuto resolves at engine
-/// construction to the best variant the CPU supports (or to the
-/// SLIM_KERNEL environment override, see ResolveScoreKernel).
+/// The scoring kernel, kept only as a provenance name for bench records
+/// (slim_link --bench_json and the benchmark harness report "kernel").
+/// There is exactly one kernel.
 enum class ScoreKernel {
-  kAuto,
   kScalar,
-  kSse42,
-  kAvx2,
 };
 
-/// Canonical lowercase name ("auto", "scalar", "sse42", "avx2").
+/// The kernel's provenance name: always "scalar".
 const char* ScoreKernelName(ScoreKernel kernel);
 
-/// Parses a canonical name; nullopt for anything else.
-std::optional<ScoreKernel> ParseScoreKernel(std::string_view name);
-
-/// True when this machine can execute the variant (kAuto and kScalar are
-/// always supported).
-bool ScoreKernelSupported(ScoreKernel kernel);
-
-/// Resolves `requested` to a concrete runnable variant:
-///   * an explicit variant is validated against the CPU (fatal when
-///     unsupported — a forced kernel must never silently degrade);
-///   * kAuto consults the SLIM_KERNEL environment variable (same names as
-///     ParseScoreKernel; invalid or unsupported values are fatal), then
-///     falls back to the best supported variant: avx2 > sse42 > scalar.
+/// The identity: the one kernel is always the one that runs. Kept so
+/// provenance code can name the kernel a config scores with.
 ScoreKernel ResolveScoreKernel(ScoreKernel requested);
 
-/// The per-variant primitive table. All intersection entries share one
-/// contract: inputs are strictly ascending spans, `out_a`/`out_b` have
-/// capacity >= min(na, nb), the return value is the number of matches, and
-/// matched positions are emitted in ascending order — bit-identical to the
-/// scalar two-pointer merge.
-struct ScoreKernelOps {
-  ScoreKernel kind;
-
-  /// Intersects two sorted int64 spans (occupied-window lists).
-  size_t (*intersect_i64)(const int64_t* a, size_t na, const int64_t* b,
-                          size_t nb, uint32_t* out_a, uint32_t* out_b);
-
-  /// Intersects two sorted uint32 spans (BinId spans).
-  size_t (*intersect_u32)(const uint32_t* a, size_t na, const uint32_t* b,
-                          size_t nb, uint32_t* out_a, uint32_t* out_b);
-
-  /// out[k] = min(idf_a[bins_a[k]], idf_b[bins_b[k]]) / norm. Elementwise
-  /// and exactly rounded, so identical bits at every variant; the caller
-  /// sums `out` in order to keep the accumulation order fixed.
-  void (*idf_contributions)(const uint32_t* bins_a, const uint32_t* bins_b,
-                            size_t n, const double* idf_a, const double* idf_b,
-                            double norm, double* out);
-};
-
-/// The primitive table of a concrete (already resolved) variant. Fatal on
-/// kAuto or an unsupported variant.
-const ScoreKernelOps& GetScoreKernelOps(ScoreKernel kernel);
-
-/// Span-length ratio beyond which IntersectSorted* abandons the (possibly
-/// SIMD) linear merge for the scalar galloping search: with one span this
-/// much longer than the other, binary probing beats scanning.
+/// Span-length ratio beyond which IntersectSorted* abandons the linear
+/// merge for the galloping search: with one span this much longer than the
+/// other, binary probing beats scanning.
 inline constexpr size_t kGallopSpanRatio = 16;
 
-/// Below this shorter-span length IntersectSorted* runs the scalar
-/// branchless merge directly instead of dispatching through the kernel
-/// table: the whole merge finishes before an indirect call has paid for
-/// itself, and SIMD blocks cannot even fill a vector. Candidate-pair
-/// window lists average roughly a dozen windows a side, so this is the
-/// linkage engine's hot shape.
-inline constexpr size_t kSmallSpanMinElements = 32;
+/// Shared contract of every intersection below: inputs are strictly
+/// ascending spans, `out_a`/`out_b` have capacity >= min(na, nb), the return
+/// value is the number of matches, and matched positions are emitted in
+/// ascending order.
+
+/// Branchless two-pointer merge over the whole of both spans. Exposed for
+/// the differential tests and the kernel bench.
+size_t IntersectLinearI64(const int64_t* a, size_t na, const int64_t* b,
+                          size_t nb, uint32_t* out_a, uint32_t* out_b);
+size_t IntersectLinearU32(const uint32_t* a, size_t na, const uint32_t* b,
+                          size_t nb, uint32_t* out_a, uint32_t* out_b);
 
 /// Galloping intersection (exponential probe + binary search driven by the
-/// shorter span). Same contract and identical output as the linear merge;
-/// exposed for the differential tests.
+/// shorter span). Identical output to the linear merge; exposed for the
+/// differential tests.
 size_t IntersectGallopI64(const int64_t* a, size_t na, const int64_t* b,
                           size_t nb, uint32_t* out_a, uint32_t* out_b);
 size_t IntersectGallopU32(const uint32_t* a, size_t na, const uint32_t* b,
                           size_t nb, uint32_t* out_a, uint32_t* out_b);
 
-/// Heuristic entry points the engine uses: galloping when the span lengths
-/// differ by more than kGallopSpanRatio, the inlined branchless merge when
-/// the shorter span is under kSmallSpanMinElements, the variant's linear
-/// merge otherwise. The heuristic depends only on span lengths, never on
-/// the variant, so the chosen path — and therefore the output — is the
-/// same for every kernel.
-size_t IntersectSortedI64(const ScoreKernelOps& ops, const int64_t* a,
-                          size_t na, const int64_t* b, size_t nb,
-                          uint32_t* out_a, uint32_t* out_b);
-size_t IntersectSortedU32(const ScoreKernelOps& ops, const uint32_t* a,
-                          size_t na, const uint32_t* b, size_t nb,
-                          uint32_t* out_a, uint32_t* out_b);
+/// The entry points the engine uses: galloping when the span lengths
+/// differ by more than kGallopSpanRatio, the linear merge otherwise.
+size_t IntersectSortedI64(const int64_t* a, size_t na, const int64_t* b,
+                          size_t nb, uint32_t* out_a, uint32_t* out_b);
+size_t IntersectSortedU32(const uint32_t* a, size_t na, const uint32_t* b,
+                          size_t nb, uint32_t* out_a, uint32_t* out_b);
 
 /// Saturating u16 quantisation of a record count (the HistoryStore keeps a
 /// quantized copy of bin_counts for overlap prefilters; 65535 is a
@@ -144,9 +83,8 @@ void QuantizeCountsSaturating(std::span<const uint32_t> counts, uint16_t* out);
 ///   sum over shared bins of min(counts_a, counts_b).
 /// `bins_*` are ascending BinId spans with `counts_*` parallel to them;
 /// `match_a`/`match_b` are caller scratch (resized as needed). Exact in
-/// u64, so kernel- and shard-invariant.
-uint64_t QuantizedOverlap(const ScoreKernelOps& ops,
-                          std::span<const uint32_t> bins_a,
+/// u64, so shard-invariant.
+uint64_t QuantizedOverlap(std::span<const uint32_t> bins_a,
                           std::span<const uint16_t> counts_a,
                           std::span<const uint32_t> bins_b,
                           std::span<const uint16_t> counts_b,

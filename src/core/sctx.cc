@@ -102,6 +102,13 @@ struct MapCursor {
   }
 };
 
+// A CSR offset array is usable when it starts at 0, never decreases, and
+// ends at `total`, the length of the array it indexes.
+bool OffsetsValid(const FlatArray<uint32_t>& offsets, size_t total) {
+  return offsets[0] == 0 && offsets.back() == total &&
+         std::is_sorted(offsets.begin(), offsets.end());
+}
+
 }  // namespace
 
 // Friend of BinVocabulary / HistoryStore (core/linkage_context.h): the
@@ -284,11 +291,19 @@ class SctxIo {
       if (!c.ok) {
         return Status::IoError("SCTX truncated (store arrays): " + path);
       }
-      // Structural consistency: the CSR sentinels must agree with the
-      // header counts, or every span accessor would read out of range.
-      if (store.bin_offsets_[n] != tb || store.window_offsets_[n] != tw ||
-          store.window_bin_begin_[tw] != tb) {
+      // Structural consistency, checked before anything dereferences the
+      // arrays: every offset array runs from 0 up to the header count it
+      // spans without ever decreasing, and every bin id names a vocabulary
+      // entry. Otherwise a span accessor, or the IDF/cell lookups behind a
+      // bin id, would read out of range.
+      if (!OffsetsValid(store.bin_offsets_, tb) ||
+          !OffsetsValid(store.window_offsets_, tw) ||
+          !OffsetsValid(store.window_bin_begin_, tb)) {
         return Status::InvalidArgument("SCTX CSR offsets corrupt: " + path);
+      }
+      if (!std::all_of(store.bin_ids_.begin(), store.bin_ids_.end(),
+                       [vocab](BinId b) { return b < vocab; })) {
+        return Status::InvalidArgument("SCTX bin id out of range: " + path);
       }
       // Identical to the builder's division, so avg-dependent scores match
       // bit for bit.

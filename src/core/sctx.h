@@ -58,7 +58,9 @@ struct SctxReadOptions {
 /// Maps `path` read-only and returns a context whose flat arrays view the
 /// mapping (LinkageContext::backing keeps it alive across copies). Fails
 /// with InvalidArgument on bad magic / version skew / structural
-/// inconsistencies and IoError on unreadable or truncated files.
+/// inconsistencies (an offset array that does not run from 0 up to its
+/// header count, a bin id outside the vocabulary) and IoError on
+/// unreadable or truncated files.
 Result<LinkageContext> ReadSctx(const std::string& path,
                                 const SctxReadOptions& options = {});
 

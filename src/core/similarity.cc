@@ -11,8 +11,6 @@ SimilarityEngine::SimilarityEngine(const LinkageContext& context,
                                    const SimilarityConfig& config)
     : ctx_(context), config_(config) {
   SLIM_CHECK_MSG(config_.b >= 0.0 && config_.b <= 1.0, "b must be in [0,1]");
-  kernel_ = ResolveScoreKernel(config_.kernel);
-  ops_ = &GetScoreKernelOps(kernel_);
   runaway_m_ = RunawayMeters(config_.proximity, ctx_.config.window_seconds);
   if (config_.use_normalization) {
     norm_e_.resize(ctx_.store_e.size());
@@ -58,10 +56,10 @@ double SimilarityEngine::ScoreIndexed(EntityIdx u, EntityIdx v,
   }
   if (overlap == 0) return 0.0;
 
-  // Second gate: the real sorted-window intersection, kernel-dispatched
-  // (galloping when the lengths are badly skewed). Everything a zero-match
-  // pair does not need — norm factors, bin/idf pointers — loads only after
-  // the match count survives the early-out.
+  // Second gate: the real sorted-window intersection (galloping when the
+  // lengths are badly skewed). Everything a zero-match pair does not
+  // need — norm factors, bin/idf pointers — loads only after the match
+  // count survives the early-out.
   const auto wu = se.windows(u);
   const auto wv = si.windows(v);
   if (wu.empty() || wv.empty()) return 0.0;
@@ -75,7 +73,7 @@ double SimilarityEngine::ScoreIndexed(EntityIdx u, EntityIdx v,
     s.match_b.resize(cap);
   }
   const size_t matched =
-      IntersectSortedI64(*ops_, wu.data(), wu.size(), wv.data(), wv.size(),
+      IntersectSortedI64(wu.data(), wu.size(), wv.data(), wv.size(),
                          s.match_a.data(), s.match_b.data());
   if (matched == 0) return 0.0;
 
@@ -90,40 +88,6 @@ double SimilarityEngine::ScoreIndexed(EntityIdx u, EntityIdx v,
   const double* idf_i = config_.use_idf ? si.idf_values().data() : nullptr;
 
   double score = 0.0;
-  s.run_bins.clear();
-
-  // Flushes the pending run of trivial windows — 1x1 with the same bin,
-  // where the distance is 0 and the proximity exactly 1 — as one batched
-  // min(idf)/norm pass. The batch is summed in window order, so the
-  // accumulation order (and thus every rounding) matches the scalar
-  // reference bit-for-bit.
-  const auto flush_run = [&] {
-    const size_t run = s.run_bins.size();
-    if (run == 0) return;
-    stats->record_comparisons += run;
-    if (config_.use_idf) {
-      if (run < 4) {
-        // Too short for the batched kernel to pay for its indirect call.
-        // min and the divide are exactly-rounded elementwise ops, so this
-        // matches the kernel lane (and thus every variant) bit-for-bit.
-        for (size_t k = 0; k < run; ++k) {
-          const BinId bb = s.run_bins[k];
-          score += std::min(idf_e[bb], idf_i[bb]) / norm;
-        }
-        s.run_bins.clear();
-        return;
-      }
-      if (s.contrib.size() < run) s.contrib.resize(run);
-      ops_->idf_contributions(s.run_bins.data(), s.run_bins.data(), run,
-                              idf_e, idf_i, norm, s.contrib.data());
-      for (size_t k = 0; k < run; ++k) score += s.contrib[k];
-    } else {
-      const double c = 1.0 / norm;
-      for (size_t k = 0; k < run; ++k) score += c;
-    }
-    s.run_bins.clear();
-  };
-
   for (size_t t = 0; t < matched; ++t) {
     const auto [ub, ue] = se.WindowBinRange(u, s.match_a[t]);
     const auto [vb, ve] = si.WindowBinRange(v, s.match_b[t]);
@@ -133,14 +97,15 @@ double SimilarityEngine::ScoreIndexed(EntityIdx u, EntityIdx v,
     if (m == 1 && n == 1) {
       const BinId bu = bins_e[ub];
       const BinId bv = bins_i[vb];
+      ++stats->record_comparisons;
       if (bu == bv) {
         // Same (window, cell) bin on both sides: the vocabulary is shared,
         // so equal BinIds mean equal cells — d = 0 and P = 1 exactly, no
-        // cache lookup needed. Defer to the batched flush.
-        s.run_bins.push_back(bu);
+        // cache lookup needed.
+        score += (config_.use_idf ? std::min(idf_e[bu], idf_i[bu]) : 1.0) /
+                 norm;
         continue;
       }
-      flush_run();
       // A single cross-cell bin pair: the pairing is forced (it is both
       // the mutual-nearest and the all-pairs set), so skip the matrix and
       // pairing machinery.
@@ -148,7 +113,6 @@ double SimilarityEngine::ScoreIndexed(EntityIdx u, EntityIdx v,
       const CellId cell_v = vocab.cell(bv);
       const double d = cache != nullptr ? cache->Get(cell_u, cell_v)
                                         : MinDistanceMeters(cell_u, cell_v);
-      ++stats->record_comparisons;
       const double p =
           SpatialProximity(d, runaway_m_, config_.proximity.clamp_epsilon);
       if (IsAlibi(d, runaway_m_)) ++stats->alibi_pairs;
@@ -157,7 +121,6 @@ double SimilarityEngine::ScoreIndexed(EntityIdx u, EntityIdx v,
       score += p * idf / norm;
       continue;
     }
-    flush_run();
 
     // General m x n window: distance matrix computed once and shared by
     // the N and N' passes.
@@ -206,7 +169,6 @@ double SimilarityEngine::ScoreIndexed(EntityIdx u, EntityIdx v,
       }
     }
   }
-  flush_run();
   return score;
 }
 

@@ -48,10 +48,10 @@ struct SimilarityConfig {
   /// Enables the L(u,E)*L(v,I) normalisation (off -> divisor 1).
   bool use_normalization = true;
 
-  /// Which SIMD kernel variant scores with (core/score_kernel.h). All
-  /// variants produce bit-identical scores; kAuto picks the fastest the CPU
-  /// supports (overridable via the SLIM_KERNEL environment variable).
-  ScoreKernel kernel = ScoreKernel::kAuto;
+  /// Provenance name of the scoring kernel (core/score_kernel.h). There is
+  /// one kernel; bench records report this name and nothing reads it to
+  /// choose a code path.
+  ScoreKernel kernel = ScoreKernel::kScalar;
 };
 
 /// Instrumentation accumulated while scoring; all counters are additive so
@@ -91,10 +91,8 @@ struct SimilarityStats {
 struct ScoreScratch {
   std::vector<uint32_t> match_a;  // window-intersection positions, left
   std::vector<uint32_t> match_b;  // window-intersection positions, right
-  std::vector<uint32_t> run_bins;  // pending batched same-bin windows
-  std::vector<double> contrib;     // batched IDF contributions
-  std::vector<double> dist;        // per-window distance matrix
-  std::vector<char> in_mnn;        // MNN membership mask
+  std::vector<double> dist;       // per-window distance matrix
+  std::vector<char> in_mnn;       // MNN membership mask
 };
 
 /// Scores pairs of entities across the two stores of a LinkageContext
@@ -103,15 +101,11 @@ struct ScoreScratch {
 /// stats/cache/scratch.
 class SimilarityEngine {
  public:
-  /// The context must outlive the engine. Resolves config.kernel against
-  /// the CPU (fatal if a forced variant is unsupported).
+  /// The context must outlive the engine.
   SimilarityEngine(const LinkageContext& context,
                    const SimilarityConfig& config);
 
   const SimilarityConfig& config() const { return config_; }
-
-  /// The concrete kernel variant scoring runs on (never kAuto).
-  ScoreKernel kernel() const { return kernel_; }
 
   /// S(u, v) per Eq. 2 over dense indices (u into store_e, v into store_i).
   /// `cache` memoises cell distances across calls (pass one per worker
@@ -129,8 +123,6 @@ class SimilarityEngine {
  private:
   const LinkageContext& ctx_;
   SimilarityConfig config_;
-  ScoreKernel kernel_;
-  const ScoreKernelOps* ops_;
   double runaway_m_;
   // Precomputed L(u, E) / L(v, I) per entity (empty when normalisation is
   // disabled or a side is empty).

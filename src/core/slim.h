@@ -182,8 +182,8 @@ struct LinkageResult {
   /// spill_on_disk says whether the spill actually reached a temporary
   /// file (only multi-block plans spill, and a spill degrades to memory
   /// when no tmpfile is available). spill_bytes_written totals spill-file
-  /// writes including the resort pass; merge_passes counts k-way merges
-  /// the external sort ran (core/edge_spill.h). Both are 0 in memory.
+  /// writes; merge_passes counts k-way merges the external sort ran
+  /// (core/edge_spill.h). Both are 0 in memory.
   int shards_used = 1;
   int left_shards_used = 1;
   uint64_t spilled_edges = 0;

@@ -9,7 +9,6 @@
 #ifndef SLIM_SLIM_H_
 #define SLIM_SLIM_H_
 
-#include "common/cpu.h"         // IWYU pragma: export
 #include "common/parallel.h"    // IWYU pragma: export
 #include "common/rng.h"         // IWYU pragma: export
 #include "common/status.h"      // IWYU pragma: export

@@ -263,52 +263,6 @@ TEST_F(GoldenLinks, GoldenRunsAreThreadCountInvariantToo) {
   }
 }
 
-// ---- Kernel matrix: every SIMD variant must reproduce the goldens. ----
-//
-// The scoring kernels (core/score_kernel.h) promise bit-identical scores at
-// every variant; this is the end-to-end enforcement. Each supported kernel
-// runs every candidate generator at threads {1, 8} and must match the same
-// committed golden link files the scalar reference pins. Variants the CPU
-// cannot execute are skipped (never failed) so the matrix is portable.
-class KernelGoldenLinks : public GoldenLinks,
-                          public ::testing::WithParamInterface<ScoreKernel> {};
-
-TEST_P(KernelGoldenLinks, LinksMatchGoldensForEveryGeneratorAndThreads) {
-  const ScoreKernel kernel = GetParam();
-  if (!ScoreKernelSupported(kernel)) {
-    GTEST_SKIP() << "CPU lacks " << ScoreKernelName(kernel);
-  }
-  const struct {
-    CandidateKind kind;
-    const char* golden;
-  } cases[] = {
-      {CandidateKind::kLsh, "quick_links_lsh.csv"},
-      {CandidateKind::kBruteForce, "quick_links_brute.csv"},
-      {CandidateKind::kGrid, "quick_links_grid.csv"},
-  };
-  for (const auto& c : cases) {
-    for (int threads : {1, 8}) {
-      SlimConfig config;
-      config.candidates = c.kind;
-      config.similarity.kernel = kernel;
-      config.threads = threads;
-      auto result = SlimLinker(config).Link(A(), B());
-      ASSERT_TRUE(result.ok()) << result.status().ToString();
-      EXPECT_EQ(FormatLinks(result->links), ReadLines(GoldenPath(c.golden)))
-          << ScoreKernelName(kernel) << "/" << CandidateKindName(c.kind)
-          << "/threads=" << threads;
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(AllKernels, KernelGoldenLinks,
-                         ::testing::Values(ScoreKernel::kScalar,
-                                           ScoreKernel::kSse42,
-                                           ScoreKernel::kAvx2),
-                         [](const auto& pinfo) {
-                           return std::string(ScoreKernelName(pinfo.param));
-                         });
-
 // ---- Commute-generator golden: seeded byte-stability. ----
 
 std::string ReadFileBytes(const std::string& path) {

@@ -1,24 +1,20 @@
-// Differential tests for the SIMD scoring kernels (core/score_kernel.h).
+// Differential tests for the scoring primitives (core/score_kernel.h).
 //
-// The kernel layer's contract is exactness, not approximation: every
-// variant (scalar, SSE4.2, AVX2) and the galloping path must produce
-// bit-identical outputs — integer match positions AND double contributions
-// (0 ULP; the float path uses only exactly-rounded elementwise ops and a
-// fixed scalar accumulation order). These tests enforce that contract
-// three ways:
+// The intersection layer's contract is exactness: the linear merge, the
+// IntersectSorted* entry points and the galloping path must all emit the
+// same matched positions as a naive reference, and SimilarityEngine must
+// score bit-identically (0 ULP) with and without its reusable scratch.
+// These tests enforce that contract three ways:
 //
 //   1. primitive-level differentials against a naive reference, over
 //      adversarial span shapes (empty, length 1, disjoint, nested,
-//      all-shared, sub-SIMD-width tails, extreme values);
+//      all-shared, short tails, extreme values);
 //   2. engine-level differentials: SimilarityEngine scores on a generated
-//      linkage problem must agree bitwise across every supported kernel;
+//      linkage problem must agree bitwise between the shared scratch and
+//      the call-local fallback, on every ablation config;
 //   3. seeded fuzz-style *_Stress cases (larger iteration counts in
 //      Release) that print their seed on failure — rerun with
 //      SLIM_KERNEL_STRESS_SEED=<seed> to replay a single failing draw.
-//
-// Variants the CPU cannot run are skipped, never failed, so the suite is
-// portable to machines without AVX2 (and to non-x86, where only the scalar
-// reference exists).
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
@@ -34,23 +30,13 @@
 namespace slim {
 namespace {
 
-std::vector<ScoreKernel> SupportedKernels() {
-  std::vector<ScoreKernel> kernels = {ScoreKernel::kScalar};
-  if (ScoreKernelSupported(ScoreKernel::kSse42)) {
-    kernels.push_back(ScoreKernel::kSse42);
-  }
-  if (ScoreKernelSupported(ScoreKernel::kAvx2)) {
-    kernels.push_back(ScoreKernel::kAvx2);
-  }
-  return kernels;
-}
+using MatchPairs = std::vector<std::pair<uint32_t, uint32_t>>;
 
 // Naive quadratic reference: emit (i, j) with a[i] == b[j] in ascending i
 // order. For strictly ascending inputs this equals the two-pointer merge.
 template <typename T>
-std::vector<std::pair<uint32_t, uint32_t>> NaiveIntersect(
-    const std::vector<T>& a, const std::vector<T>& b) {
-  std::vector<std::pair<uint32_t, uint32_t>> out;
+MatchPairs NaiveIntersect(const std::vector<T>& a, const std::vector<T>& b) {
+  MatchPairs out;
   for (size_t i = 0; i < a.size(); ++i) {
     for (size_t j = 0; j < b.size(); ++j) {
       if (a[i] == b[j]) {
@@ -61,55 +47,51 @@ std::vector<std::pair<uint32_t, uint32_t>> NaiveIntersect(
   return out;
 }
 
-template <typename T>
-std::vector<std::pair<uint32_t, uint32_t>> RunIntersect(
-    const ScoreKernelOps& ops, const std::vector<T>& a,
-    const std::vector<T>& b) {
+// Runs one intersection entry point (`i64` or `u32`, picked by T) and
+// returns its matched position pairs.
+template <typename T, typename I64, typename U32>
+MatchPairs RunIntersect(I64 i64, U32 u32, const std::vector<T>& a,
+                        const std::vector<T>& b) {
   const size_t cap = std::min(a.size(), b.size());
   std::vector<uint32_t> out_a(cap), out_b(cap);
   size_t n;
   if constexpr (std::is_same_v<T, int64_t>) {
-    n = ops.intersect_i64(a.data(), a.size(), b.data(), b.size(), out_a.data(),
-                          out_b.data());
+    n = i64(a.data(), a.size(), b.data(), b.size(), out_a.data(),
+            out_b.data());
   } else {
-    n = ops.intersect_u32(a.data(), a.size(), b.data(), b.size(), out_a.data(),
-                          out_b.data());
+    n = u32(a.data(), a.size(), b.data(), b.size(), out_a.data(),
+            out_b.data());
   }
-  std::vector<std::pair<uint32_t, uint32_t>> pairs;
+  MatchPairs pairs;
   pairs.reserve(n);
   for (size_t k = 0; k < n; ++k) pairs.emplace_back(out_a[k], out_b[k]);
   return pairs;
 }
 
 template <typename T>
-std::vector<std::pair<uint32_t, uint32_t>> RunGallop(const std::vector<T>& a,
-                                                     const std::vector<T>& b) {
-  const size_t cap = std::min(a.size(), b.size());
-  std::vector<uint32_t> out_a(cap), out_b(cap);
-  size_t n;
-  if constexpr (std::is_same_v<T, int64_t>) {
-    n = IntersectGallopI64(a.data(), a.size(), b.data(), b.size(), out_a.data(),
-                           out_b.data());
-  } else {
-    n = IntersectGallopU32(a.data(), a.size(), b.data(), b.size(), out_a.data(),
-                           out_b.data());
-  }
-  std::vector<std::pair<uint32_t, uint32_t>> pairs;
-  pairs.reserve(n);
-  for (size_t k = 0; k < n; ++k) pairs.emplace_back(out_a[k], out_b[k]);
-  return pairs;
+MatchPairs RunLinear(const std::vector<T>& a, const std::vector<T>& b) {
+  return RunIntersect(IntersectLinearI64, IntersectLinearU32, a, b);
 }
 
-// Checks every supported kernel AND the galloping path against the naive
-// reference on one span pair.
 template <typename T>
-void ExpectAllVariantsAgree(const std::vector<T>& a, const std::vector<T>& b) {
+MatchPairs RunSorted(const std::vector<T>& a, const std::vector<T>& b) {
+  return RunIntersect(IntersectSortedI64, IntersectSortedU32, a, b);
+}
+
+template <typename T>
+MatchPairs RunGallop(const std::vector<T>& a, const std::vector<T>& b) {
+  return RunIntersect(IntersectGallopI64, IntersectGallopU32, a, b);
+}
+
+// Checks the linear merge, the IntersectSorted* entry point AND the
+// galloping path against the naive reference on one span pair.
+template <typename T>
+void ExpectAllPathsAgree(const std::vector<T>& a, const std::vector<T>& b) {
   const auto expected = NaiveIntersect(a, b);
-  for (const ScoreKernel kernel : SupportedKernels()) {
-    EXPECT_EQ(RunIntersect(GetScoreKernelOps(kernel), a, b), expected)
-        << "kernel " << ScoreKernelName(kernel) << " lens " << a.size() << "x"
-        << b.size();
-  }
+  EXPECT_EQ(RunLinear(a, b), expected)
+      << "linear lens " << a.size() << "x" << b.size();
+  EXPECT_EQ(RunSorted(a, b), expected)
+      << "sorted lens " << a.size() << "x" << b.size();
   EXPECT_EQ(RunGallop(a, b), expected)
       << "gallop lens " << a.size() << "x" << b.size();
 }
@@ -148,23 +130,23 @@ std::vector<T> RandomSubset(std::mt19937_64& rng, const std::vector<T>& base,
 
 TEST(ScoreKernelIntersect, EmptyAndSingletonSpans) {
   using V64 = std::vector<int64_t>;
-  ExpectAllVariantsAgree(V64{}, V64{});
-  ExpectAllVariantsAgree(V64{}, V64{1, 2, 3, 4, 5});
-  ExpectAllVariantsAgree(V64{1, 2, 3, 4, 5}, V64{});
-  ExpectAllVariantsAgree(V64{3}, V64{3});
-  ExpectAllVariantsAgree(V64{3}, V64{4});
-  ExpectAllVariantsAgree(V64{3}, V64{1, 2, 3, 4, 5, 6, 7, 8, 9});
-  ExpectAllVariantsAgree(V64{10}, V64{1, 2, 3, 4, 5, 6, 7, 8, 9});
+  ExpectAllPathsAgree(V64{}, V64{});
+  ExpectAllPathsAgree(V64{}, V64{1, 2, 3, 4, 5});
+  ExpectAllPathsAgree(V64{1, 2, 3, 4, 5}, V64{});
+  ExpectAllPathsAgree(V64{3}, V64{3});
+  ExpectAllPathsAgree(V64{3}, V64{4});
+  ExpectAllPathsAgree(V64{3}, V64{1, 2, 3, 4, 5, 6, 7, 8, 9});
+  ExpectAllPathsAgree(V64{10}, V64{1, 2, 3, 4, 5, 6, 7, 8, 9});
   using V32 = std::vector<uint32_t>;
-  ExpectAllVariantsAgree(V32{}, V32{});
-  ExpectAllVariantsAgree(V32{7}, V32{7});
-  ExpectAllVariantsAgree(V32{7}, V32{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11});
+  ExpectAllPathsAgree(V32{}, V32{});
+  ExpectAllPathsAgree(V32{7}, V32{7});
+  ExpectAllPathsAgree(V32{7}, V32{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11});
 }
 
 TEST(ScoreKernelIntersect, DisjointAndInterleavedSpans) {
   using V64 = std::vector<int64_t>;
   // Fully disjoint ranges (one entirely below the other).
-  ExpectAllVariantsAgree(V64{1, 2, 3, 4, 5, 6, 7, 8},
+  ExpectAllPathsAgree(V64{1, 2, 3, 4, 5, 6, 7, 8},
                          V64{100, 101, 102, 103, 104, 105, 106, 107});
   // Interleaved, no matches (evens vs odds).
   V64 evens, odds;
@@ -172,13 +154,13 @@ TEST(ScoreKernelIntersect, DisjointAndInterleavedSpans) {
     evens.push_back(2 * k);
     odds.push_back(2 * k + 1);
   }
-  ExpectAllVariantsAgree(evens, odds);
+  ExpectAllPathsAgree(evens, odds);
   // Nested: b entirely inside a's range, partial matches.
   V64 outer, inner;
   for (int64_t k = 0; k < 64; ++k) outer.push_back(k * 3);
   for (int64_t k = 20; k < 40; ++k) inner.push_back(k);  // hits multiples of 3
-  ExpectAllVariantsAgree(outer, inner);
-  ExpectAllVariantsAgree(inner, outer);
+  ExpectAllPathsAgree(outer, inner);
+  ExpectAllPathsAgree(inner, outer);
 }
 
 TEST(ScoreKernelIntersect, AllSharedSpans) {
@@ -190,23 +172,23 @@ TEST(ScoreKernelIntersect, AllSharedSpans) {
       a64.push_back(static_cast<int64_t>(k * k + 1));
       a32.push_back(static_cast<uint32_t>(k * 7 + 3));
     }
-    ExpectAllVariantsAgree(a64, a64);  // idempotence: (k, k) for all k
-    ExpectAllVariantsAgree(a32, a32);
+    ExpectAllPathsAgree(a64, a64);  // idempotence: (k, k) for all k
+    ExpectAllPathsAgree(a32, a32);
   }
 }
 
-TEST(ScoreKernelIntersect, TailRemaindersBelowSimdWidth) {
-  // Every length pair below / around the widest SIMD block (8 u32 lanes),
-  // dense values so matches are frequent and land in the scalar tails.
+TEST(ScoreKernelIntersect, EveryShortLengthPair) {
+  // Every length pair up to 17 a side, dense values so matches are
+  // frequent and land at the ends of both spans.
   std::mt19937_64 rng(1234);
   for (size_t la = 0; la <= 17; ++la) {
     for (size_t lb = 0; lb <= 17; ++lb) {
       const auto a64 = RandomSpan<int64_t>(rng, la, 0, 3);
       const auto b64 = RandomSpan<int64_t>(rng, lb, 0, 3);
-      ExpectAllVariantsAgree(a64, b64);
+      ExpectAllPathsAgree(a64, b64);
       const auto a32 = RandomSpan<uint32_t>(rng, la, 0u, 3);
       const auto b32 = RandomSpan<uint32_t>(rng, lb, 0u, 3);
-      ExpectAllVariantsAgree(a32, b32);
+      ExpectAllPathsAgree(a32, b32);
     }
   }
 }
@@ -214,11 +196,11 @@ TEST(ScoreKernelIntersect, TailRemaindersBelowSimdWidth) {
 TEST(ScoreKernelIntersect, ExtremeValues) {
   const int64_t i64max = std::numeric_limits<int64_t>::max();
   const int64_t i64min = std::numeric_limits<int64_t>::min();
-  ExpectAllVariantsAgree<int64_t>(
+  ExpectAllPathsAgree<int64_t>(
       {i64min, i64min + 1, -5, 0, 7, i64max - 1, i64max},
       {i64min, -5, 1, 7, i64max});
   const uint32_t u32max = std::numeric_limits<uint32_t>::max();
-  ExpectAllVariantsAgree<uint32_t>(
+  ExpectAllPathsAgree<uint32_t>(
       {0, 1, 2, u32max - 2, u32max - 1, u32max},
       {0, 2, 3, u32max - 1, u32max});
 }
@@ -229,76 +211,31 @@ TEST(ScoreKernelIntersect, SymmetryMirrorsMatches) {
   const auto a = RandomSubset(rng, base, 0.7);
   const auto b = RandomSubset(rng, base, 0.5);
   const auto ab = NaiveIntersect(a, b);
-  for (const ScoreKernel kernel : SupportedKernels()) {
-    const auto& ops = GetScoreKernelOps(kernel);
-    auto forward = RunIntersect(ops, a, b);
-    auto backward = RunIntersect(ops, b, a);
+  const struct {
+    const char* name;
+    MatchPairs (*run)(const std::vector<int64_t>&, const std::vector<int64_t>&);
+  } paths[] = {{"linear", RunLinear<int64_t>},
+               {"sorted", RunSorted<int64_t>},
+               {"gallop", RunGallop<int64_t>}};
+  for (const auto& path : paths) {
+    const MatchPairs forward = path.run(a, b);
+    MatchPairs backward = path.run(b, a);
     for (auto& [x, y] : backward) std::swap(x, y);
-    EXPECT_EQ(forward, ab) << ScoreKernelName(kernel);
-    EXPECT_EQ(backward, ab) << ScoreKernelName(kernel);
+    EXPECT_EQ(forward, ab) << path.name;
+    EXPECT_EQ(backward, ab) << path.name;
   }
 }
 
 TEST(ScoreKernelIntersect, GallopHeuristicDispatchIsOutputInvariant) {
   // Skewed lengths trigger galloping inside IntersectSorted*; the output
-  // must be what the linear merge produces, for every kernel.
+  // must be what the linear merge produces.
   std::mt19937_64 rng(7);
   const auto large = RandomSpan<int64_t>(rng, 2000, 0, 3);
   const auto small = RandomSubset(rng, large, 0.01);  // far beyond the ratio
   ASSERT_GT(large.size(), small.size() * kGallopSpanRatio);
   const auto expected = NaiveIntersect(small, large);
-  for (const ScoreKernel kernel : SupportedKernels()) {
-    const auto& ops = GetScoreKernelOps(kernel);
-    const size_t cap = std::min(small.size(), large.size());
-    std::vector<uint32_t> out_a(cap), out_b(cap);
-    const size_t n =
-        IntersectSortedI64(ops, small.data(), small.size(), large.data(),
-                           large.size(), out_a.data(), out_b.data());
-    std::vector<std::pair<uint32_t, uint32_t>> got;
-    for (size_t k = 0; k < n; ++k) got.emplace_back(out_a[k], out_b[k]);
-    EXPECT_EQ(got, expected) << ScoreKernelName(kernel);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// IDF contribution batches: exact double agreement (0 ULP).
-// ---------------------------------------------------------------------------
-
-TEST(ScoreKernelIdf, ContributionsAreBitIdenticalAcrossKernels) {
-  std::mt19937_64 rng(42);
-  std::uniform_real_distribution<double> idf_dist(0.0, 12.0);
-  std::uniform_int_distribution<uint32_t> bin_dist(0, 499);
-  std::vector<double> idf_a(500), idf_b(500);
-  for (size_t k = 0; k < 500; ++k) {
-    idf_a[k] = idf_dist(rng);
-    idf_b[k] = idf_dist(rng);
-  }
-  for (const size_t len : {0u, 1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 63u, 64u,
-                           65u, 300u}) {
-    std::vector<uint32_t> bins_a(len), bins_b(len);
-    for (size_t k = 0; k < len; ++k) {
-      bins_a[k] = bin_dist(rng);
-      bins_b[k] = bin_dist(rng);
-    }
-    const double norm = 1.3758213;
-    std::vector<double> expected(len, -1.0);
-    GetScoreKernelOps(ScoreKernel::kScalar)
-        .idf_contributions(bins_a.data(), bins_b.data(), len, idf_a.data(),
-                           idf_b.data(), norm, expected.data());
-    for (size_t k = 0; k < len; ++k) {
-      ASSERT_EQ(expected[k],
-                std::min(idf_a[bins_a[k]], idf_b[bins_b[k]]) / norm);
-    }
-    for (const ScoreKernel kernel : SupportedKernels()) {
-      std::vector<double> got(len, -2.0);
-      GetScoreKernelOps(kernel).idf_contributions(
-          bins_a.data(), bins_b.data(), len, idf_a.data(), idf_b.data(), norm,
-          got.data());
-      // EXPECT_EQ on doubles: exact equality, not a tolerance — the kernel
-      // contract is 0 ULP.
-      EXPECT_EQ(got, expected) << ScoreKernelName(kernel) << " len " << len;
-    }
-  }
+  EXPECT_EQ(RunSorted(small, large), expected);
+  EXPECT_EQ(RunLinear(small, large), expected);
 }
 
 // ---------------------------------------------------------------------------
@@ -329,84 +266,22 @@ TEST(ScoreKernelQuantize, OverlapSumsMinCountsOverSharedBins) {
   // Shared: bin 5 (min 4), bin 9 (min 1), bin 14 (min 65535 — saturated on
   // both sides stays exact in the u64 sum).
   std::vector<uint32_t> scratch_a, scratch_b;
-  for (const ScoreKernel kernel : SupportedKernels()) {
-    EXPECT_EQ(QuantizedOverlap(GetScoreKernelOps(kernel), bins_a, counts_a,
-                               bins_b, counts_b, &scratch_a, &scratch_b),
-              4u + 1u + 65535u)
-        << ScoreKernelName(kernel);
-  }
+  EXPECT_EQ(QuantizedOverlap(bins_a, counts_a, bins_b, counts_b, &scratch_a,
+                             &scratch_b),
+            4u + 1u + 65535u);
   // No shared bins -> 0; empty side -> 0.
-  for (const ScoreKernel kernel : SupportedKernels()) {
-    const auto& ops = GetScoreKernelOps(kernel);
-    EXPECT_EQ(QuantizedOverlap(ops, bins_a, counts_a, {}, {}, &scratch_a,
-                               &scratch_b),
-              0u);
-    EXPECT_EQ(QuantizedOverlap(ops, std::vector<uint32_t>{1},
-                               std::vector<uint16_t>{9},
-                               std::vector<uint32_t>{2},
-                               std::vector<uint16_t>{9}, &scratch_a,
-                               &scratch_b),
-              0u);
-  }
+  EXPECT_EQ(QuantizedOverlap(bins_a, counts_a, {}, {}, &scratch_a, &scratch_b),
+            0u);
+  EXPECT_EQ(QuantizedOverlap(std::vector<uint32_t>{1}, std::vector<uint16_t>{9},
+                             std::vector<uint32_t>{2}, std::vector<uint16_t>{9},
+                             &scratch_a, &scratch_b),
+            0u);
 }
 
 // ---------------------------------------------------------------------------
-// Kernel selection: names, parsing, CPU dispatch, SLIM_KERNEL override.
-// ---------------------------------------------------------------------------
-
-TEST(ScoreKernelSelect, NamesRoundTrip) {
-  for (const ScoreKernel k : {ScoreKernel::kAuto, ScoreKernel::kScalar,
-                              ScoreKernel::kSse42, ScoreKernel::kAvx2}) {
-    const auto parsed = ParseScoreKernel(ScoreKernelName(k));
-    ASSERT_TRUE(parsed.has_value()) << ScoreKernelName(k);
-    EXPECT_EQ(*parsed, k);
-  }
-  EXPECT_FALSE(ParseScoreKernel("").has_value());
-  EXPECT_FALSE(ParseScoreKernel("avx512").has_value());
-  EXPECT_FALSE(ParseScoreKernel("Scalar").has_value());
-}
-
-TEST(ScoreKernelSelect, ScalarIsAlwaysSupportedAndResolvable) {
-  EXPECT_TRUE(ScoreKernelSupported(ScoreKernel::kScalar));
-  EXPECT_TRUE(ScoreKernelSupported(ScoreKernel::kAuto));
-  EXPECT_EQ(ResolveScoreKernel(ScoreKernel::kScalar), ScoreKernel::kScalar);
-  // Explicit requests win over any environment setting.
-  const ScoreKernel resolved = ResolveScoreKernel(ScoreKernel::kAuto);
-  EXPECT_NE(resolved, ScoreKernel::kAuto);
-  EXPECT_TRUE(ScoreKernelSupported(resolved));
-  // Auto never picks a slower tier than the CPU offers.
-  if (ScoreKernelSupported(ScoreKernel::kAvx2)) {
-    EXPECT_EQ(resolved, ScoreKernel::kAvx2);
-  } else if (ScoreKernelSupported(ScoreKernel::kSse42)) {
-    EXPECT_EQ(resolved, ScoreKernel::kSse42);
-  } else {
-    EXPECT_EQ(resolved, ScoreKernel::kScalar);
-  }
-}
-
-TEST(ScoreKernelSelect, EnvOverrideForcesAutoChoice) {
-  // Guard + restore: other tests in this binary read SLIM_KERNEL too.
-  const char* prev = std::getenv("SLIM_KERNEL");
-  const std::string saved = prev != nullptr ? prev : "";
-  ASSERT_EQ(setenv("SLIM_KERNEL", "scalar", 1), 0);
-  EXPECT_EQ(ResolveScoreKernel(ScoreKernel::kAuto), ScoreKernel::kScalar);
-  // An explicit kernel ignores the environment.
-  if (ScoreKernelSupported(ScoreKernel::kSse42)) {
-    EXPECT_EQ(ResolveScoreKernel(ScoreKernel::kSse42), ScoreKernel::kSse42);
-  }
-  ASSERT_EQ(setenv("SLIM_KERNEL", "auto", 1), 0);
-  EXPECT_NE(ResolveScoreKernel(ScoreKernel::kAuto), ScoreKernel::kAuto);
-  if (prev != nullptr) {
-    setenv("SLIM_KERNEL", saved.c_str(), 1);
-  } else {
-    unsetenv("SLIM_KERNEL");
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Engine-level differential: SimilarityEngine must score bit-identically on
-// every kernel, with and without the reusable scratch, on a real generated
-// linkage problem.
+// Engine-level differential: SimilarityEngine must score bit-identically
+// with and without the reusable scratch, on a real generated linkage
+// problem.
 // ---------------------------------------------------------------------------
 
 const LinkageContext& EngineContext() {
@@ -428,79 +303,44 @@ const LinkageContext& EngineContext() {
   return *ctx;
 }
 
-TEST(ScoreKernelEngine, ScoresAreBitIdenticalAcrossKernelsAndScratch) {
+TEST(ScoreKernelEngine, AblationConfigsMatchWithAndWithoutScratch) {
   const LinkageContext& ctx = EngineContext();
-  SimilarityConfig reference_config;
-  reference_config.kernel = ScoreKernel::kScalar;
-  const SimilarityEngine reference(ctx, reference_config);
-  ASSERT_EQ(reference.kernel(), ScoreKernel::kScalar);
-
-  // Scalar reference scores + stats over every cross pair.
-  SimilarityStats ref_stats;
-  std::vector<double> ref_scores;
-  ref_scores.reserve(ctx.store_e.size() * ctx.store_i.size());
-  for (EntityIdx u = 0; u < ctx.store_e.size(); ++u) {
-    for (EntityIdx v = 0; v < ctx.store_i.size(); ++v) {
-      ref_scores.push_back(reference.ScoreIndexed(u, v, &ref_stats));
-    }
-  }
-  ASSERT_GT(ref_stats.record_comparisons, 0u);
-
-  for (const ScoreKernel kernel : SupportedKernels()) {
-    SimilarityConfig config;
-    config.kernel = kernel;
-    const SimilarityEngine engine(ctx, config);
-    EXPECT_EQ(engine.kernel(), kernel);
-    SimilarityStats stats;
-    ScoreScratch scratch;
-    size_t pos = 0;
-    for (EntityIdx u = 0; u < ctx.store_e.size(); ++u) {
-      for (EntityIdx v = 0; v < ctx.store_i.size(); ++v) {
-        // Alternate between the shared scratch and the call-local fallback:
-        // both must be exact.
-        const double score =
-            (u + v) % 2 == 0
-                ? engine.ScoreIndexed(u, v, &stats, nullptr, &scratch)
-                : engine.ScoreIndexed(u, v, &stats);
-        ASSERT_EQ(score, ref_scores[pos])
-            << ScoreKernelName(kernel) << " pair (" << u << ", " << v << ")";
-        ++pos;
-      }
-    }
-    // Instrumentation must not drift between kernels either.
-    EXPECT_EQ(stats.record_comparisons, ref_stats.record_comparisons);
-    EXPECT_EQ(stats.alibi_pairs, ref_stats.alibi_pairs);
-    EXPECT_EQ(stats.entity_pairs, ref_stats.entity_pairs);
-  }
-}
-
-TEST(ScoreKernelEngine, AblationConfigsAgreeAcrossKernels) {
-  const LinkageContext& ctx = EngineContext();
-  // The ablation toggles exercise the batched-IDF-off path, the all-pairs
-  // pairing, and the normalisation-off divisor.
+  // The stock config plus the ablation toggles: the IDF-off path, the
+  // all-pairs pairing, and the normalisation-off divisor.
   std::vector<SimilarityConfig> configs(4);
   configs[1].use_idf = false;
   configs[2].pairing = PairingKind::kAllPairs;
   configs[3].use_normalization = false;
   configs[3].use_mfn = false;
   for (size_t c = 0; c < configs.size(); ++c) {
-    configs[c].kernel = ScoreKernel::kScalar;
-    const SimilarityEngine reference(ctx, configs[c]);
-    for (const ScoreKernel kernel : SupportedKernels()) {
-      SimilarityConfig config = configs[c];
-      config.kernel = kernel;
-      const SimilarityEngine engine(ctx, config);
-      SimilarityStats ref_stats, stats;
-      ScoreScratch scratch;
-      for (EntityIdx u = 0; u < ctx.store_e.size(); u += 7) {
-        for (EntityIdx v = 0; v < ctx.store_i.size(); v += 3) {
-          ASSERT_EQ(engine.ScoreIndexed(u, v, &stats, nullptr, &scratch),
-                    reference.ScoreIndexed(u, v, &ref_stats))
-              << ScoreKernelName(kernel) << " config " << c << " pair (" << u
-              << ", " << v << ")";
-        }
+    const SimilarityEngine engine(ctx, configs[c]);
+    // Call-local reference scores + stats over every cross pair.
+    SimilarityStats ref_stats;
+    std::vector<double> ref_scores;
+    ref_scores.reserve(ctx.store_e.size() * ctx.store_i.size());
+    for (EntityIdx u = 0; u < ctx.store_e.size(); ++u) {
+      for (EntityIdx v = 0; v < ctx.store_i.size(); ++v) {
+        ref_scores.push_back(engine.ScoreIndexed(u, v, &ref_stats));
       }
     }
+    ASSERT_GT(ref_stats.record_comparisons, 0u) << "config " << c;
+
+    // The same pairs through one shared scratch, which carries buffers
+    // of every earlier pair into the next.
+    SimilarityStats stats;
+    ScoreScratch scratch;
+    size_t pos = 0;
+    for (EntityIdx u = 0; u < ctx.store_e.size(); ++u) {
+      for (EntityIdx v = 0; v < ctx.store_i.size(); ++v) {
+        ASSERT_EQ(engine.ScoreIndexed(u, v, &stats, nullptr, &scratch),
+                  ref_scores[pos])
+            << "config " << c << " pair (" << u << ", " << v << ")";
+        ++pos;
+      }
+    }
+    EXPECT_EQ(stats.record_comparisons, ref_stats.record_comparisons);
+    EXPECT_EQ(stats.alibi_pairs, ref_stats.alibi_pairs);
+    EXPECT_EQ(stats.entity_pairs, ref_stats.entity_pairs);
   }
 }
 
@@ -536,54 +376,19 @@ TEST(ScoreKernelIntersect, RandomSpans_Stress) {
     std::uniform_int_distribution<int> gap_dist(1, 6);
     std::uniform_int_distribution<int64_t> start_dist(-1000, 1000);
     // Correlated spans: subsets of one base sequence (high overlap), plus
-    // an independent tail (misses), lengths crossing every SIMD width.
+    // an independent tail (misses), lengths on both sides of the
+    // galloping ratio.
     const auto base = RandomSpan<int64_t>(rng, 400, start_dist(rng),
                                           gap_dist(rng));
     auto a = RandomSubset(rng, base, 0.6);
     auto b = RandomSubset(rng, base, 0.4);
     a.resize(std::min(a.size(), len_dist(rng)));
     b.resize(std::min(b.size(), len_dist(rng)));
-    ExpectAllVariantsAgree(a, b);
+    ExpectAllPathsAgree(a, b);
     // Independent u32 spans with occasional accidental overlap.
     const auto ua = RandomSpan<uint32_t>(rng, len_dist(rng), 0u, 4);
     const auto ub = RandomSpan<uint32_t>(rng, len_dist(rng), 2u, 4);
-    ExpectAllVariantsAgree(ua, ub);
-    if (::testing::Test::HasFailure()) break;
-  }
-}
-
-TEST(ScoreKernelIdf, RandomContributions_Stress) {
-  for (const uint64_t seed : StressSeeds(0xc0ffee)) {
-    SCOPED_TRACE("SLIM_KERNEL_STRESS_SEED=" + std::to_string(seed));
-    std::mt19937_64 rng(seed);
-    std::uniform_int_distribution<size_t> len_dist(0, 200);
-    std::uniform_real_distribution<double> idf_dist(0.0, 20.0);
-    std::uniform_real_distribution<double> norm_dist(0.25, 4.0);
-    const size_t vocab = 256;
-    std::vector<double> idf_a(vocab), idf_b(vocab);
-    for (size_t k = 0; k < vocab; ++k) {
-      idf_a[k] = idf_dist(rng);
-      idf_b[k] = idf_dist(rng);
-    }
-    const size_t len = len_dist(rng);
-    std::uniform_int_distribution<uint32_t> bin_dist(0, vocab - 1);
-    std::vector<uint32_t> bins_a(len), bins_b(len);
-    for (size_t k = 0; k < len; ++k) {
-      bins_a[k] = bin_dist(rng);
-      bins_b[k] = bin_dist(rng);
-    }
-    const double norm = norm_dist(rng);
-    std::vector<double> expected(len);
-    GetScoreKernelOps(ScoreKernel::kScalar)
-        .idf_contributions(bins_a.data(), bins_b.data(), len, idf_a.data(),
-                           idf_b.data(), norm, expected.data());
-    for (const ScoreKernel kernel : SupportedKernels()) {
-      std::vector<double> got(len);
-      GetScoreKernelOps(kernel).idf_contributions(
-          bins_a.data(), bins_b.data(), len, idf_a.data(), idf_b.data(), norm,
-          got.data());
-      ASSERT_EQ(got, expected) << ScoreKernelName(kernel);
-    }
+    ExpectAllPathsAgree(ua, ub);
     if (::testing::Test::HasFailure()) break;
   }
 }

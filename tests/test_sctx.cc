@@ -10,7 +10,8 @@
 //   * Link with SlimConfig::sctx_path serializes on the first run, maps
 //     on every run, and matches the heap-context default run either way.
 //   * Corrupt inputs (bad magic, version skew, truncation, trailing
-//     garbage) fail with a Status, mirroring tests/test_sbin.cc.
+//     garbage, a decreasing CSR offset, a bin id outside the vocabulary)
+//     fail with a Status, mirroring tests/test_sbin.cc.
 #include "core/sctx.h"
 
 #include <unistd.h>
@@ -279,6 +280,106 @@ TEST_F(SctxTest, TrailingGarbageFails) {
   WriteFile(path, ReadFile(path) + "extra!!!");
   auto r = ReadSctx(path);
   ASSERT_FALSE(r.ok());
+}
+
+// Byte positions of the left store's CSR arrays inside an SCTX file,
+// derived from the header the way core/sctx.cc lays the arrays out.
+struct LeftStoreLayout {
+  uint64_t vocab = 0, entities = 0, total_bins = 0, total_windows = 0;
+  size_t bin_offsets = 0, window_offsets = 0, window_bin_begin = 0;
+  size_t bin_ids = 0;
+};
+
+uint64_t U64At(const std::string& bytes, size_t pos) {
+  uint64_t value;
+  std::memcpy(&value, bytes.data() + pos, sizeof(value));
+  return value;
+}
+
+uint32_t U32At(const std::string& bytes, size_t pos) {
+  uint32_t value;
+  std::memcpy(&value, bytes.data() + pos, sizeof(value));
+  return value;
+}
+
+void PutU32(std::string* bytes, size_t pos, uint32_t value) {
+  std::memcpy(bytes->data() + pos, &value, sizeof(value));
+}
+
+LeftStoreLayout LayoutOf(const std::string& bytes) {
+  const auto pad8 = [](uint64_t b) { return (b + 7) & ~uint64_t{7}; };
+  LeftStoreLayout l;
+  l.vocab = U64At(bytes, 40);
+  l.entities = U64At(bytes, 48);
+  l.total_bins = U64At(bytes, 56);
+  l.total_windows = U64At(bytes, 64);
+  const uint64_t n = l.entities, tw = l.total_windows;
+  const uint64_t masks = n * HistoryStore::kWindowMaskWords;
+  uint64_t pos = 96;               // header
+  pos += 2 * pad8(l.vocab * 8);    // vocab windows, cells
+  pos += 2 * pad8(n * 8);          // entity ids, records
+  pos += pad8(masks * 8);          // window masks
+  pos += pad8(l.vocab * 8);        // idf
+  pos += pad8(tw * 8);             // windows
+  l.bin_offsets = pos;
+  pos += pad8((n + 1) * 4);
+  l.window_offsets = pos;
+  pos += pad8((n + 1) * 4);
+  l.window_bin_begin = pos;
+  pos += pad8((tw + 1) * 4);
+  pos += pad8(l.vocab * 4);        // holder counts
+  l.bin_ids = pos;
+  return l;
+}
+
+TEST_F(SctxTest, DecreasingInteriorOffsetFails) {
+  const std::string path = Path("offsets.sctx");
+  ASSERT_TRUE(WriteSctx(BuildContext(), path).ok());
+  const std::string valid = ReadFile(path);
+  const LeftStoreLayout l = LayoutOf(valid);
+  // The layout is right: each array starts at 0 and ends at its sentinel.
+  ASSERT_GE(l.entities, 3u);
+  ASSERT_EQ(U32At(valid, l.bin_offsets + 4 * l.entities), l.total_bins);
+  ASSERT_EQ(U32At(valid, l.window_offsets + 4 * l.entities), l.total_windows);
+  ASSERT_EQ(U32At(valid, l.window_bin_begin + 4 * l.total_windows),
+            l.total_bins);
+  const struct {
+    const char* name;
+    size_t pos;
+    uint64_t total;
+  } arrays[] = {{"bin_offsets", l.bin_offsets, l.total_bins},
+                {"window_offsets", l.window_offsets, l.total_windows},
+                {"window_bin_begin", l.window_bin_begin, l.total_bins}};
+  for (const auto& array : arrays) {
+    ASSERT_EQ(U32At(valid, array.pos), 0u) << array.name;
+    // Entry 1 jumps to the sentinel value: still within [0, total], but
+    // entry 2 is smaller, so the span between them would run backwards.
+    ASSERT_LT(U32At(valid, array.pos + 8), array.total) << array.name;
+    std::string bytes = valid;
+    PutU32(&bytes, array.pos + 4, static_cast<uint32_t>(array.total));
+    WriteFile(path, bytes);
+    auto r = ReadSctx(path);
+    ASSERT_FALSE(r.ok()) << array.name;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << array.name;
+    EXPECT_NE(r.status().message().find("offsets"), std::string::npos)
+        << r.status().message();
+  }
+}
+
+TEST_F(SctxTest, BinIdOutsideTheVocabularyFails) {
+  const std::string path = Path("bin_ids.sctx");
+  ASSERT_TRUE(WriteSctx(BuildContext(), path).ok());
+  std::string bytes = ReadFile(path);
+  const LeftStoreLayout l = LayoutOf(bytes);
+  ASSERT_GT(l.total_bins, 0u);
+  ASSERT_LT(U32At(bytes, l.bin_ids), l.vocab);  // the layout is right
+  PutU32(&bytes, l.bin_ids, static_cast<uint32_t>(l.vocab));
+  WriteFile(path, bytes);
+  auto r = ReadSctx(path);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(r.status().message().find("bin id"), std::string::npos)
+      << r.status().message();
 }
 
 TEST_F(SctxTest, WriteToUnwritablePathFails) {

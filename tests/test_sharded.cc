@@ -165,57 +165,69 @@ std::vector<WeightedEdge> CollectScan(EdgeSpill* spill, EdgeOrder order) {
 }
 
 TEST(EdgeSpill, ScansBothGlobalOrdersOnDiskAndInMemory) {
-  for (const bool to_disk : {false, true}) {
-    EdgeSpillOptions options;
-    options.to_disk = to_disk;
-    // Two edges per run: multiple runs and a real k-way merge on disk.
-    options.run_bytes = 2 * sizeof(WeightedEdge);
-    EdgeSpill spill(options);
-    EXPECT_EQ(spill.size(), 0u);
-    spill.Append(MakeEdges(100, 3));
-    spill.Append({});  // empty blocks are legal
-    spill.Append(MakeEdges(7, 4));
-    ASSERT_TRUE(spill.Seal().ok());
-    EXPECT_EQ(spill.size(), 7u);
-    if (to_disk && spill.on_disk()) {
-      EXPECT_GT(spill.run_count(), 1u);
-      EXPECT_EQ(spill.spill_bytes_written(), 7 * sizeof(WeightedEdge));
-    }
+  std::vector<WeightedEdge> all = MakeEdges(100, 3);
+  const std::vector<WeightedEdge> tail = MakeEdges(7, 4);
+  all.insert(all.end(), tail.begin(), tail.end());
 
-    std::vector<WeightedEdge> all = MakeEdges(100, 3);
-    const std::vector<WeightedEdge> tail = MakeEdges(7, 4);
-    all.insert(all.end(), tail.begin(), tail.end());
+  // Each spill scans the order its runs are sorted in; one spill per
+  // order covers both global orders.
+  for (const EdgeOrder order : {EdgeOrder::kPair, EdgeOrder::kScore}) {
+    std::vector<WeightedEdge> expected = all;
+    std::sort(expected.begin(), expected.end(),
+              order == EdgeOrder::kPair ? PairEdgeOrder : GreedyEdgeOrder);
+    for (const bool to_disk : {false, true}) {
+      EdgeSpillOptions options;
+      options.to_disk = to_disk;
+      options.run_order = order;
+      // Two edges per run: multiple runs and a real k-way merge on disk.
+      options.run_bytes = 2 * sizeof(WeightedEdge);
+      EdgeSpill spill(options);
+      EXPECT_EQ(spill.size(), 0u);
+      spill.Append(MakeEdges(100, 3));
+      spill.Append({});  // empty blocks are legal
+      spill.Append(MakeEdges(7, 4));
+      ASSERT_TRUE(spill.Seal().ok());
+      EXPECT_EQ(spill.size(), 7u);
+      if (to_disk && spill.on_disk()) {
+        EXPECT_GT(spill.run_count(), 1u);
+        EXPECT_EQ(spill.spill_bytes_written(), 7 * sizeof(WeightedEdge));
+      }
 
-    std::vector<WeightedEdge> by_pair = all;
-    std::sort(by_pair.begin(), by_pair.end(), PairEdgeOrder);
-    std::vector<WeightedEdge> by_score = all;
-    std::sort(by_score.begin(), by_score.end(), GreedyEdgeOrder);
-
-    // Both orders, and both again: scans are repeatable. Scanning the
-    // non-run order exercises the resort + second merge path on disk.
-    EXPECT_EQ(CollectScan(&spill, EdgeOrder::kPair), by_pair)
-        << "to_disk=" << to_disk;
-    EXPECT_EQ(CollectScan(&spill, EdgeOrder::kScore), by_score)
-        << "to_disk=" << to_disk;
-    EXPECT_EQ(CollectScan(&spill, EdgeOrder::kPair), by_pair);
-    EXPECT_EQ(CollectScan(&spill, EdgeOrder::kScore), by_score);
-    if (to_disk && spill.on_disk()) {
-      EXPECT_EQ(spill.merge_passes(), 4);
-      // The resort pass rewrites every edge exactly once, lazily.
-      EXPECT_EQ(spill.spill_bytes_written(), 14 * sizeof(WeightedEdge));
+      // Twice: scans are repeatable.
+      EXPECT_EQ(CollectScan(&spill, order), expected)
+          << "to_disk=" << to_disk;
+      EXPECT_EQ(CollectScan(&spill, order), expected)
+          << "to_disk=" << to_disk;
+      if (to_disk && spill.on_disk()) {
+        EXPECT_EQ(spill.merge_passes(), 2);
+        // Scans read the runs back; nothing is rewritten.
+        EXPECT_EQ(spill.spill_bytes_written(), 7 * sizeof(WeightedEdge));
+      }
     }
   }
 }
 
-TEST(EdgeSpill, SealIsIdempotentAndEmptySpillScansNothing) {
+TEST(EdgeSpillDeathTest, ScanAndDrainRejectTheOtherOrder) {
   EdgeSpillOptions options;
-  options.to_disk = true;
+  options.run_order = EdgeOrder::kPair;
   EdgeSpill spill(options);
+  spill.Append(MakeEdges(1, 4));
   ASSERT_TRUE(spill.Seal().ok());
-  ASSERT_TRUE(spill.Seal().ok());
-  EXPECT_EQ(CollectScan(&spill, EdgeOrder::kPair), std::vector<WeightedEdge>{});
-  EXPECT_EQ(CollectScan(&spill, EdgeOrder::kScore),
-            std::vector<WeightedEdge>{});
+  EXPECT_DEATH(CollectScan(&spill, EdgeOrder::kScore), "run order");
+  std::vector<WeightedEdge> out;
+  EXPECT_DEATH((void)spill.Drain(EdgeOrder::kScore, &out), "run order");
+}
+
+TEST(EdgeSpill, SealIsIdempotentAndEmptySpillScansNothing) {
+  for (const EdgeOrder order : {EdgeOrder::kPair, EdgeOrder::kScore}) {
+    EdgeSpillOptions options;
+    options.to_disk = true;
+    options.run_order = order;
+    EdgeSpill spill(options);
+    ASSERT_TRUE(spill.Seal().ok());
+    ASSERT_TRUE(spill.Seal().ok());
+    EXPECT_EQ(CollectScan(&spill, order), std::vector<WeightedEdge>{});
+  }
 }
 
 TEST(EdgeSpill, DiskSpillActuallyUsesAFile) {
@@ -234,6 +246,7 @@ TEST(EdgeSpill, DiskSpillActuallyUsesAFile) {
 TEST(EdgeSpill, FallsBackToMemoryWhenTheSpillFileCannotBeCreated) {
   EdgeSpillOptions options;
   options.to_disk = true;
+  options.run_order = EdgeOrder::kScore;
   // A path whose directory does not exist: creation must fail, and the
   // spill must degrade to the in-memory buffer instead of crashing.
   options.spill_path = "/nonexistent-slim-spill-dir/spill.bin";
@@ -249,31 +262,30 @@ TEST(EdgeSpill, FallsBackToMemoryWhenTheSpillFileCannotBeCreated) {
 
 TEST(EdgeSpill, TruncatedSpillSurfacesAsIoErrorNotACrash) {
   const std::string path = ::testing::TempDir() + "/slim_spill_corrupt.bin";
-  EdgeSpillOptions options;
-  options.to_disk = true;
-  options.run_bytes = 2 * sizeof(WeightedEdge);
-  options.spill_path = path;
-  EdgeSpill spill(options);
-  if (!spill.on_disk()) GTEST_SKIP() << "cannot create " << path;
-  spill.Append(MakeEdges(1, 3));
-  spill.Append(MakeEdges(20, 3));
-  spill.Append(MakeEdges(40, 2));
-  ASSERT_TRUE(spill.Seal().ok());
-  ASSERT_GT(spill.run_count(), 1u);
+  for (const EdgeOrder order : {EdgeOrder::kPair, EdgeOrder::kScore}) {
+    EdgeSpillOptions options;
+    options.to_disk = true;
+    options.run_bytes = 2 * sizeof(WeightedEdge);
+    options.run_order = order;
+    options.spill_path = path;
+    EdgeSpill spill(options);
+    if (!spill.on_disk()) GTEST_SKIP() << "cannot create " << path;
+    spill.Append(MakeEdges(1, 3));
+    spill.Append(MakeEdges(20, 3));
+    spill.Append(MakeEdges(40, 2));
+    ASSERT_TRUE(spill.Seal().ok());
+    ASSERT_GT(spill.run_count(), 1u);
 
-  // Truncate the live spill behind the spill's back: the recorded run
-  // extents now point past EOF, so the merge's reads come up short.
-  {
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    std::fclose(f);
+    // Truncate the live spill behind the spill's back: the recorded run
+    // extents now point past EOF, so the merge's reads come up short.
+    {
+      std::FILE* f = std::fopen(path.c_str(), "wb");
+      ASSERT_NE(f, nullptr);
+      std::fclose(f);
+    }
+    const Status scan = spill.Scan(order, [](const WeightedEdge&) {});
+    EXPECT_FALSE(scan.ok());
   }
-  const Status pair_scan =
-      spill.Scan(EdgeOrder::kPair, [](const WeightedEdge&) {});
-  EXPECT_FALSE(pair_scan.ok());
-  const Status score_scan =
-      spill.Scan(EdgeOrder::kScore, [](const WeightedEdge&) {});
-  EXPECT_FALSE(score_scan.ok());
 }
 
 // ---- Shard-restricted candidate generation. ----
@@ -436,7 +448,7 @@ TEST_P(ShardedDriver, StreamingMatcherMatchesWithoutTheGraph) {
                      reference->threshold.threshold);
   }
   EXPECT_EQ(streamed->spilled_edges, reference->graph.num_edges());
-  // The score-ordered runs merge in a single pass: no resort needed.
+  // The score-ordered runs merge in a single pass.
   if (streamed->spill_on_disk) {
     EXPECT_EQ(streamed->merge_passes, 1);
   }

@@ -5,9 +5,9 @@
 //             [--spatial_level N | --auto_tune]
 //             [--window_minutes M] [--b_param X] [--max_speed_kmh S]
 //             [--candidates lsh|brute|grid] [--no_lsh] [--grid_max_bin N]
-//             [--grid_min_overlap N] [--kernel auto|scalar|sse42|avx2]
-//             [--lsh_level N] [--lsh_step N] [--lsh_threshold T]
-//             [--lsh_buckets N] [--threshold gmm|otsu|two_means|none]
+//             [--grid_min_overlap N] [--lsh_level N] [--lsh_step N]
+//             [--lsh_threshold T] [--lsh_buckets N]
+//             [--threshold gmm|otsu|two_means|none]
 //             [--matcher greedy|hungarian] [--threads N] [--region_radius_m R]
 //             [--shards K | --memory_budget_mb M] [--left_shards L]
 //             [--sctx PATH] [--no_graph] [--spill_run_mb M]
@@ -66,10 +66,6 @@ void Usage() {
       "                        entities (default 0 = no cap)\n"
       "  --grid_min_overlap N  grid blocking: drop pairs with quantized\n"
       "                        co-visit mass < N (default 0 = keep all)\n"
-      "  --kernel KIND         scoring kernel: auto|scalar|sse42|avx2\n"
-      "                        (default auto; links are bit-identical on\n"
-      "                        every kernel, SLIM_KERNEL env sets the auto\n"
-      "                        choice)\n"
       "  --lsh_level N         signature spatial level (default 10)\n"
       "  --lsh_step N          query step in leaf windows (default 8)\n"
       "  --lsh_threshold T     candidate similarity threshold (default 0.5)\n"
@@ -174,17 +170,6 @@ int main(int argc, char** argv) {
       static_cast<uint32_t>(flags.GetInt("grid_max_bin", 0));
   config.grid.min_overlap_records =
       static_cast<uint32_t>(flags.GetInt("grid_min_overlap", 0));
-  const std::string kernel_flag = flags.GetString("kernel", "auto");
-  const auto kernel = slim::ParseScoreKernel(kernel_flag);
-  if (!kernel.has_value()) {
-    slim::tools::Flags::Fail("unknown --kernel: " + kernel_flag +
-                             " (expected auto|scalar|sse42|avx2)");
-  }
-  if (!slim::ScoreKernelSupported(*kernel)) {
-    slim::tools::Flags::Fail("--kernel " + kernel_flag +
-                             " is not supported by this CPU");
-  }
-  config.similarity.kernel = *kernel;
   config.lsh.signature_spatial_level =
       static_cast<int>(flags.GetInt("lsh_level", 10));
   config.lsh.temporal_step_windows =
@@ -328,7 +313,7 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(result->spill_bytes_written),
         result->merge_passes,
         std::string(slim::CandidateKindName(result->candidates_used)).c_str(),
-        slim::ScoreKernelName(slim::ResolveScoreKernel(*kernel)),
+        slim::ScoreKernelName(config.similarity.kernel),
         static_cast<unsigned long long>(result->candidate_pairs),
         static_cast<unsigned long long>(result->possible_pairs),
         result->links.size(),

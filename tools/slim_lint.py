@@ -2,8 +2,8 @@
 """slim_lint: SLIM-specific determinism and hygiene invariants.
 
 Every PR since the pipeline went parallel has staked its correctness claim
-on bit-identical links across thread counts, shard counts, and SIMD
-kernels.  The compiler cannot see those invariants; this checker encodes
+on bit-identical links across thread counts and shard counts.  The
+compiler cannot see those invariants; this checker encodes
 them as named, suppressible rules so the next refactor cannot silently
 reintroduce nondeterminism.
 
