@@ -1,6 +1,6 @@
 // google-benchmark micro suites for the performance-critical primitives:
 // spatial cells, window-tree queries, bin pairing, the span intersections,
-// similarity scoring, LSH index construction, matching, and the GMM fit.
+// similarity scoring, LSH candidate construction, matching, and the GMM fit.
 #include <benchmark/benchmark.h>
 
 #include <random>
@@ -166,7 +166,7 @@ void BM_HistoryBuild(benchmark::State& state) {
   const LocationDataset ds = BenchCab(static_cast<int>(state.range(0)));
   HistoryConfig hc;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(HistorySet::Build(ds, hc));
+    benchmark::DoNotOptimize(LinkageContext::Build(ds, ds, hc));
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(ds.num_records()));
@@ -203,23 +203,20 @@ BENCHMARK(BM_MnnPairing)->Arg(4)->Arg(16)->Arg(64);
 
 // ----------------------------------------------------------------- lsh ----
 
-void BM_LshIndexBuild(benchmark::State& state) {
+void BM_LshCandidatesBuild(benchmark::State& state) {
   const LocationDataset ds = BenchCab(static_cast<int>(state.range(0)));
   HistoryConfig hc;
   hc.spatial_level = 16;
-  const HistorySet set = HistorySet::Build(ds, hc);
-  std::vector<LshIndex::Entry> entries;
-  for (const auto& h : set.histories()) {
-    entries.push_back({h.entity(), &h.tree()});
-  }
+  const LinkageContext ctx = LinkageContext::Build(ds, ds, hc);
   LshConfig lc;
   lc.signature_spatial_level = 12;
   lc.temporal_step_windows = 8;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(LshIndex::Build(entries, entries, lc));
+    benchmark::DoNotOptimize(MakeCandidateGenerator(CandidateKind::kLsh, ctx,
+                                                    lc, GridBlockingConfig{}));
   }
 }
-BENCHMARK(BM_LshIndexBuild)->Arg(16)->Arg(64);
+BENCHMARK(BM_LshCandidatesBuild)->Arg(16)->Arg(64);
 
 void BM_SignatureBuild(benchmark::State& state) {
   const WindowSegmentTree tree = MakeTree(2048, 3, 7);

@@ -72,23 +72,27 @@ int main() {
             });
 
   // Identifying-signal analysis: the rarest bins of the top exposures.
+  // A symmetric context over the release alone: store_e.idf(bin) is
+  // log(N / holders) over A.
   const slim::HistoryConfig hc = config.history;
-  const slim::HistorySet histories = slim::HistorySet::Build(sample->a, hc);
+  const slim::LinkageContext release =
+      slim::LinkageContext::Build(sample->a, sample->a, hc);
+  const slim::HistoryStore& store = release.store_e;
   std::printf("\nmost exposed released entities:\n");
   std::printf("  %-8s %-10s %-10s %s\n", "entity", "score", "margin",
               "rarest visited bin (idf)");
   const size_t top = std::min<size_t>(exposures.size(), 8);
   for (size_t k = 0; k < top; ++k) {
     const auto& ex = exposures[k];
-    const slim::MobilityHistory* h = histories.Find(ex.entity);
     double max_idf = 0.0;
     slim::TimeLocationBin rarest;
-    if (h != nullptr) {
-      for (const auto& bin : h->bins()) {
-        const double idf = histories.Idf(bin.window, bin.cell);
+    if (const auto u = store.IndexOf(ex.entity)) {
+      for (const slim::BinId bin : store.bins(*u)) {
+        const double idf = store.idf(bin);
         if (idf > max_idf) {
           max_idf = idf;
-          rarest = bin;
+          rarest.window = release.vocab.window(bin);
+          rarest.cell = release.vocab.cell(bin);
         }
       }
     }

@@ -8,7 +8,7 @@
 
 #include "common/check.h"
 #include "common/parallel.h"
-#include "core/history.h"
+#include "core/linkage_context.h"
 #include "geo/distance_cache.h"
 #include "stats/kneedle.h"
 #include "temporal/time_window.h"
@@ -63,60 +63,63 @@ Result<StLinkResult> StLinkLinker::Link(
   const auto t_start = std::chrono::steady_clock::now();
   StLinkResult result;
 
-  // Reuse the history representation as the windowed-bin index.
-  HistoryConfig hc;
-  hc.spatial_level = config_.spatial_level;
-  hc.window_seconds = config_.window_seconds;
-  const HistorySet set_e = HistorySet::Build(dataset_e, hc);
-  const HistorySet set_i = HistorySet::Build(dataset_i, hc);
+  // The dense linkage context is the windowed-bin index: each entity's
+  // windows ascend, and each window's bins come in (window, cell) order.
+  const int threads =
+      config_.threads > 0 ? config_.threads : DefaultThreadCount();
+  const LinkageContext ctx = LinkageContext::Build(
+      dataset_e, dataset_i,
+      {.spatial_level = config_.spatial_level,
+       .window_seconds = config_.window_seconds},
+      threads);
+  const HistoryStore& store_e = ctx.store_e;
+  const HistoryStore& store_i = ctx.store_i;
   const double runaway =
       RunawayDistanceMeters(config_.window_seconds, config_.max_speed_mps);
 
-  // Window -> active histories, for blocking.
-  std::unordered_map<int64_t, std::vector<const MobilityHistory*>> active_i;
-  for (const auto& h : set_i.histories()) {
-    for (int64_t w : h.windows()) active_i[w].push_back(&h);
+  // Window -> the rights active in it, as (EntityIdx, position in that
+  // entity's windows), built in index order, for blocking.
+  std::unordered_map<int64_t, std::vector<std::pair<EntityIdx, uint32_t>>>
+      active_i;
+  for (EntityIdx v = 0; v < store_i.size(); ++v) {
+    const auto windows = store_i.windows(v);
+    for (uint32_t k = 0; k < windows.size(); ++k) {
+      active_i[windows[k]].emplace_back(v, k);
+    }
   }
 
   // Accumulate pair statistics, parallel over the left side.
-  const auto& lefts = set_e.histories();
-  const int threads =
-      config_.threads > 0 ? config_.threads : DefaultThreadCount();
   struct Shard {
-    std::unordered_map<uint64_t, PairStats> pairs;  // (u_idx<<32)|v_idx key
+    std::unordered_map<uint64_t, PairStats> pairs;  // (u<<32)|v key
     uint64_t comparisons = 0;
   };
   std::vector<Shard> shards(static_cast<size_t>(threads));
-  std::unordered_map<EntityId, uint32_t> right_index;
-  {
-    uint32_t idx = 0;
-    for (const auto& h : set_i.histories()) right_index[h.entity()] = idx++;
-  }
 
   ParallelFor(
-      lefts.size(),
+      store_e.size(),
       [&](size_t begin, size_t end, int shard_id) {
         Shard& shard = shards[static_cast<size_t>(shard_id)];
         CellDistanceCache cache;
         for (size_t k = begin; k < end; ++k) {
-          const MobilityHistory& hu = lefts[k];
-          for (int64_t w : hu.windows()) {
-            const auto it = active_i.find(w);
+          const EntityIdx u = static_cast<EntityIdx>(k);
+          const auto windows_u = store_e.windows(u);
+          for (size_t ku = 0; ku < windows_u.size(); ++ku) {
+            const auto it = active_i.find(windows_u[ku]);
             if (it == active_i.end()) continue;
-            const auto bins_u = hu.BinsInWindow(w);
-            for (const MobilityHistory* hv : it->second) {
-              const auto bins_v = hv->BinsInWindow(w);
-              const uint64_t key =
-                  (static_cast<uint64_t>(k) << 32) |
-                  right_index.at(hv->entity());
+            const auto [bu_begin, bu_end] = store_e.WindowBinRange(u, ku);
+            for (const auto& [v, kv] : it->second) {
+              const auto [bv_begin, bv_end] = store_i.WindowBinRange(v, kv);
+              const uint64_t key = (static_cast<uint64_t>(u) << 32) | v;
               PairStats& ps = shard.pairs[key];
-              for (const auto& bu : bins_u) {
-                for (const auto& bv : bins_v) {
+              for (uint32_t i = bu_begin; i < bu_end; ++i) {
+                const CellId cell_u = ctx.vocab.cell(store_e.bin_ids()[i]);
+                for (uint32_t j = bv_begin; j < bv_end; ++j) {
                   ++shard.comparisons;
-                  const double d = cache.Get(bu.cell, bv.cell);
+                  const double d =
+                      cache.Get(cell_u, ctx.vocab.cell(store_i.bin_ids()[j]));
                   if (d <= config_.co_location_radius_m) {
                     ++ps.cooccurrences;
-                    ps.diverse_cells.insert(bu.cell.raw());
+                    ps.diverse_cells.insert(cell_u.raw());
                   } else if (d > runaway) {
                     ++ps.alibis;
                   }
@@ -190,10 +193,9 @@ Result<StLinkResult> StLinkLinker::Link(
   std::map<EntityId, std::vector<EntityId>> quals_by_u;
   std::map<EntityId, std::vector<EntityId>> quals_by_v;
   for (const auto& [key, ps] : sorted_pairs) {
-    const EntityId u =
-        lefts[static_cast<size_t>(key >> 32)].entity();
+    const EntityId u = store_e.entity_id(static_cast<EntityIdx>(key >> 32));
     const EntityId v =
-        set_i.histories()[static_cast<size_t>(key & 0xffffffffULL)].entity();
+        store_i.entity_id(static_cast<EntityIdx>(key & 0xffffffffULL));
     if (ps.cooccurrences > 0) {
       result.graph.AddEdge(u, v, static_cast<double>(ps.cooccurrences));
     }

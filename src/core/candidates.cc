@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <numeric>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -60,60 +61,169 @@ class BruteForceCandidates final : public CandidateGenerator {
   std::vector<EntityIdx> shard_right_;
 };
 
+// 64-bit mix for band hashing (SplitMix64 finaliser).
+uint64_t Mix(uint64_t z) {
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
+// Hashes one band of a signature; returns false when every row is a
+// placeholder (the band carries no evidence and must not collide).
+bool HashBand(const LshSignature& sig, size_t row_begin, size_t row_end,
+              uint64_t seed, uint64_t* out) {
+  uint64_t h = seed ^ Mix(row_begin * 0x9e3779b97f4a7c15ULL);
+  bool any = false;
+  for (size_t row = row_begin; row < row_end && row < sig.size(); ++row) {
+    if (sig.IsPlaceholder(row)) continue;
+    any = true;
+    // Positions participate so that the same cell in different query
+    // windows does not collide.
+    h = Mix(h ^ Mix((row + 1) * 0xd1b54a32d192ed03ULL) ^ sig.cells[row]);
+  }
+  *out = h;
+  return any;
+}
+
+// Marks "this entity's band was all placeholders; it lands in no bucket".
+constexpr uint64_t kNoBucket = std::numeric_limits<uint64_t>::max();
+
+// One band's buckets over a block.
+struct BandTable {
+  // bucket key -> global right EntityIdx values, in index order.
+  std::unordered_map<uint64_t, std::vector<EntityIdx>> right_buckets;
+  // per block-left position: its bucket key, or kNoBucket.
+  std::vector<uint64_t> left_key;
+};
+
+// Signatures of store entities [begin, end) on the query grid `span`,
+// data-parallel over entities into a pre-sized vector.
+std::vector<LshSignature> BlockSignatures(const HistoryStore& store,
+                                          EntityIdx begin, EntityIdx end,
+                                          const LshWindowSpan& span,
+                                          const LshConfig& config,
+                                          int threads) {
+  std::vector<LshSignature> out(end - begin);
+  ParallelFor(
+      out.size(),
+      [&](size_t lo, size_t hi, int) {
+        for (size_t k = lo; k < hi; ++k) {
+          out[k] = BuildSignature(store.tree(begin + static_cast<EntityIdx>(k)),
+                                  span.lo, span.end,
+                                  config.temporal_step_windows,
+                                  config.signature_spatial_level);
+        }
+      },
+      threads);
+  return out;
+}
+
+// The block's band tables (paper Sec. 4): signatures split into b bands
+// of r rows, b from the similarity threshold via the Lambert-W sizing
+// (lsh/signature.h). Placeholder rows are omitted from a band's hash; a
+// band that is entirely placeholders is not hashed at all. Sharded over
+// bands: bands are independent, and within a band rights are appended in
+// index order, so the tables never depend on scheduling. The signatures
+// are locals, freed on return; only the tables reach the gather.
+std::vector<BandTable> BuildBandTables(const LinkageContext& ctx,
+                                       const LshConfig& config,
+                                       EntityIdx left_begin,
+                                       EntityIdx left_end,
+                                       EntityIdx right_begin,
+                                       EntityIdx right_end, int threads) {
+  SLIM_CHECK_MSG(config.num_buckets >= 1, "num_buckets must be >= 1");
+  // The grid is pinned to the full problem's span, so a block build's
+  // band hashes — and therefore its collisions — are exactly the full
+  // build's restricted to the block: a collision is a pairwise predicate
+  // over one left and one right signature, and neither signature depends
+  // on which other entities were banded alongside it.
+  const LshWindowSpan span = GlobalWindowSpan(ctx);
+  if (span.empty() || left_begin == left_end || right_begin == right_end) {
+    return {};  // nothing occupied, or one side of the block is empty
+  }
+  const std::vector<LshSignature> left = BlockSignatures(
+      ctx.store_e, left_begin, left_end, span, config, threads);
+  const std::vector<LshSignature> right = BlockSignatures(
+      ctx.store_i, right_begin, right_end, span, config, threads);
+
+  // Every signature spans the same grid, so all share one size.
+  const size_t signature_size = left.front().size();
+  const size_t num_bands = static_cast<size_t>(
+      ComputeNumBands(signature_size, config.similarity_threshold));
+  const size_t rows_per_band = (signature_size + num_bands - 1) / num_bands;
+  std::vector<BandTable> bands(num_bands);
+  ParallelFor(
+      num_bands,
+      [&](size_t begin, size_t end, int) {
+        for (size_t band = begin; band < end; ++band) {
+          const size_t row_begin = band * rows_per_band;
+          const size_t row_end = row_begin + rows_per_band;
+          BandTable& table = bands[band];
+          table.left_key.assign(left.size(), kNoBucket);
+          uint64_t h;
+          for (size_t k = 0; k < left.size(); ++k) {
+            if (HashBand(left[k], row_begin, row_end, config.hash_seed, &h)) {
+              table.left_key[k] = h % config.num_buckets;
+            }
+          }
+          for (size_t k = 0; k < right.size(); ++k) {
+            if (HashBand(right[k], row_begin, row_end, config.hash_seed, &h)) {
+              table.right_buckets[h % config.num_buckets].push_back(
+                  right_begin + static_cast<EntityIdx>(k));
+            }
+          }
+        }
+      },
+      threads);
+  return bands;
+}
+
+// Banded LSH: a cross pair is a candidate when any band of the two
+// signatures lands in one bucket.
 class LshCandidates final : public CandidateGenerator {
  public:
   LshCandidates(const LinkageContext& ctx, const LshConfig& config,
                 EntityIdx left_begin, EntityIdx left_end,
                 EntityIdx right_begin, EntityIdx right_end, int threads)
       : left_begin_(left_begin) {
-    std::vector<LshIndex::Entry> left, right;
-    left.reserve(left_end - left_begin);
-    right.reserve(right_end - right_begin);
-    for (EntityIdx u = left_begin; u < left_end; ++u) {
-      left.push_back({ctx.store_e.entity_id(u), &ctx.store_e.tree(u)});
-    }
-    for (EntityIdx v = right_begin; v < right_end; ++v) {
-      right.push_back({ctx.store_i.entity_id(v), &ctx.store_i.tree(v)});
-    }
-    // The grid is pinned to the full problem's span, so a block build's
-    // band hashes — and therefore its collisions — are exactly the full
-    // build's restricted to the block: a collision is a pairwise predicate
-    // over one left and one right signature, and neither signature depends
-    // on which other entities were indexed alongside it.
-    const LshWindowSpan span = GlobalWindowSpan(ctx);
-    const LshIndex index = LshIndex::Build(left, right, config, threads, &span);
-    total_candidate_pairs_ = index.total_candidate_pairs();
-
-    // Re-key subset positions to global right EntityIdx and drop the index:
-    // signatures and bucket tables are construction scaffolding here, and
-    // freeing them keeps only the candidate lists resident.
-    static_assert(std::is_same_v<EntityIdx, uint32_t>);
-    csr_.offsets.assign(left.size() + 1, 0);
-    for (size_t k = 0; k < left.size(); ++k) {
-      csr_.offsets[k + 1] =
-          csr_.offsets[k] + index.CandidatePositionsAt(k).size();
-    }
-    csr_.flat.resize(csr_.offsets.back());
-    size_t pos = 0;
-    for (size_t k = 0; k < left.size(); ++k) {
-      for (const uint32_t p : index.CandidatePositionsAt(k)) {
-        csr_.flat[pos++] = p + right_begin;
-      }
-    }
+    std::vector<std::vector<EntityIdx>> lists(left_end - left_begin);
+    {
+      const std::vector<BandTable> bands =
+          BuildBandTables(ctx, config, left_begin, left_end, right_begin,
+                          right_end, threads);
+      // Gather + de-duplication, sharded over left entities: each left
+      // entity unions its buckets' rights across bands (band order) and
+      // sorts/uniques its own list.
+      ParallelFor(
+          lists.size(),
+          [&](size_t begin, size_t end, int) {
+            for (size_t k = begin; k < end; ++k) {
+              std::vector<EntityIdx>& list = lists[k];
+              for (const BandTable& table : bands) {
+                const uint64_t key = table.left_key[k];
+                if (key == kNoBucket) continue;
+                const auto it = table.right_buckets.find(key);
+                if (it == table.right_buckets.end()) continue;
+                list.insert(list.end(), it->second.begin(), it->second.end());
+              }
+              std::sort(list.begin(), list.end());
+              list.erase(std::unique(list.begin(), list.end()), list.end());
+            }
+          },
+          threads);
+    }  // the band tables go before the CSR is assembled
+    csr_ = CandidateCsr::FromLists(std::move(lists));
   }
 
   std::string_view name() const override { return "lsh"; }
   std::span<const EntityIdx> CandidatesFor(EntityIdx u) const override {
     return csr_.SpanOf(u - left_begin_);
   }
-  uint64_t total_candidate_pairs() const override {
-    return total_candidate_pairs_;
-  }
+  uint64_t total_candidate_pairs() const override { return csr_.flat.size(); }
 
  private:
   EntityIdx left_begin_;
   CandidateCsr csr_;
-  uint64_t total_candidate_pairs_ = 0;
 };
 
 class GridBlockingCandidates final : public CandidateGenerator {

@@ -8,7 +8,10 @@
 //   BruteForceCandidates — every cross-dataset pair (the "no-LSH SLIM"
 //                          reference; exact, quadratic).
 //   LshCandidates        — banded LSH over history signatures (paper
-//                          Sec. 4; the production default).
+//                          Sec. 4; the production default). It builds the
+//                          signatures from the context's window trees
+//                          (lsh/signature.h), bands and buckets them
+//                          itself, and gathers straight into its CSR.
 //   GridBlockingCandidates — ST-Link-style co-visit blocking: a pair is a
 //                          candidate iff the two entities share at least
 //                          one (window, leaf cell) time-location bin.
@@ -29,9 +32,21 @@
 
 #include "common/status.h"
 #include "core/linkage_context.h"
-#include "lsh/lsh_index.h"
+#include "lsh/signature.h"
 
 namespace slim {
+
+/// A fixed [lo, end) leaf-window range for the signature query grid.
+/// Candidate collisions are a pairwise predicate over band hashes, so
+/// banding a *subset* of one side under the same span produces exactly the
+/// full build's candidates restricted to that subset — the property the
+/// sharded linkage driver (core/sharded.h) relies on.
+struct LshWindowSpan {
+  int64_t lo = 0;
+  int64_t end = 0;  // exclusive
+
+  bool empty() const { return lo >= end; }
+};
 
 /// Which candidate generator the pipeline runs.
 enum class CandidateKind {

@@ -1,10 +1,8 @@
 #include "core/history.h"
 
-#include <cmath>
 #include <map>
 
 #include "common/check.h"
-#include "common/parallel.h"
 #include "geo/covering.h"
 #include "temporal/time_window.h"
 
@@ -39,110 +37,6 @@ std::vector<TimeLocationBin> GroupRecordsIntoBins(
     bins.push_back({key.first, key.second, count});
   }
   return bins;
-}
-
-MobilityHistory MobilityHistory::FromRecords(EntityId entity,
-                                             std::span<const Record> records,
-                                             const HistoryConfig& config) {
-  MobilityHistory h;
-  h.entity_ = entity;
-  h.bins_ = GroupRecordsIntoBins(records, config);
-  h.total_records_ = records.size();
-
-  std::vector<WindowedCellCount> tree_entries;
-  tree_entries.reserve(h.bins_.size());
-  for (const TimeLocationBin& bin : h.bins_) {
-    tree_entries.push_back({bin.window, bin.cell, bin.record_count});
-  }
-
-  // Window index over the (already (window, cell)-sorted) bins.
-  size_t start = 0;
-  for (size_t i = 0; i <= h.bins_.size(); ++i) {
-    if (i == h.bins_.size() ||
-        (i > 0 && h.bins_[i].window != h.bins_[i - 1].window)) {
-      if (i > start) {
-        h.windows_.push_back(h.bins_[start].window);
-        h.window_index_[h.bins_[start].window] = {start, i};
-      }
-      start = i;
-    }
-  }
-
-  h.tree_ = WindowSegmentTree::Build(std::move(tree_entries));
-  return h;
-}
-
-std::span<const TimeLocationBin> MobilityHistory::BinsInWindow(
-    int64_t window) const {
-  const auto it = window_index_.find(window);
-  if (it == window_index_.end()) return {};
-  return std::span<const TimeLocationBin>(bins_.data() + it->second.first,
-                                          it->second.second - it->second.first);
-}
-
-HistorySet HistorySet::Build(const LocationDataset& dataset,
-                             const HistoryConfig& config, int threads) {
-  HistorySet set;
-  set.config_ = config;
-  const std::vector<EntityId>& ids = dataset.entity_ids();
-
-  // Each entity's history is independent — build them in parallel into a
-  // pre-sized vector so entity order (and therefore every downstream
-  // statistic) does not depend on scheduling.
-  set.histories_.resize(ids.size());
-  ParallelFor(
-      ids.size(),
-      [&](size_t begin, size_t end, int) {
-        for (size_t k = begin; k < end; ++k) {
-          set.histories_[k] = MobilityHistory::FromRecords(
-              ids[k], dataset.RecordsOf(ids[k]), config);
-        }
-      },
-      threads);
-
-  // Dataset-level statistics, merged sequentially in entity order.
-  size_t total_bins = 0;
-  set.by_entity_.reserve(ids.size());
-  for (size_t k = 0; k < ids.size(); ++k) {
-    const MobilityHistory& h = set.histories_[k];
-    total_bins += h.num_bins();
-    for (const TimeLocationBin& bin : h.bins()) {
-      ++set.bin_entity_counts_[{bin.window, bin.cell.raw()}];
-    }
-    set.by_entity_[ids[k]] = k;
-  }
-  set.avg_bins_ = set.histories_.empty()
-                      ? 0.0
-                      : static_cast<double>(total_bins) /
-                            static_cast<double>(set.histories_.size());
-  return set;
-}
-
-const MobilityHistory* HistorySet::Find(EntityId entity) const {
-  const auto it = by_entity_.find(entity);
-  if (it == by_entity_.end()) return nullptr;
-  return &histories_[it->second];
-}
-
-uint32_t HistorySet::BinEntityCount(int64_t window, CellId cell) const {
-  const auto it = bin_entity_counts_.find({window, cell.raw()});
-  return it == bin_entity_counts_.end() ? 0 : it->second;
-}
-
-double HistorySet::Idf(int64_t window, CellId cell) const {
-  SLIM_CHECK_MSG(!histories_.empty(), "Idf on an empty HistorySet");
-  const uint32_t holders = BinEntityCount(window, cell);
-  const double n = static_cast<double>(histories_.size());
-  if (holders == 0) return std::log(n);
-  return std::log(n / static_cast<double>(holders));
-}
-
-double HistorySet::LengthNorm(const MobilityHistory& history, double b) const {
-  SLIM_CHECK_MSG(b >= 0.0 && b <= 1.0, "length-norm b must be in [0,1]");
-  SLIM_CHECK_MSG(avg_bins_ > 0.0, "LengthNorm on an empty HistorySet");
-  const double rel =
-      static_cast<double>(history.num_bins()) / avg_bins_;
-  return (1.0 - b) + b * rel;
 }
 
 }  // namespace slim

@@ -1,23 +1,21 @@
-// Mobility histories (paper Sec. 2.3).
+// Mobility-history binning (paper Sec. 2.3).
 //
 // A mobility history distributes one entity's records over time-location
 // bins: the leaf windows of a hierarchical temporal partitioning, each
 // holding the set of spatial grid cells the entity visited in that window
-// (with record counts). The hierarchical aggregation lives in
-// WindowSegmentTree; this header adds the per-dataset structures the
-// similarity score needs — bin IDF statistics (Eq. 3) and BM25-style history
-// length normalisation (Eq. 2).
+// (with record counts). This header holds the binning itself; the dense
+// per-dataset store the pipeline runs on — bin IDF (Eq. 3), history length
+// normalisation (Eq. 2) and the window trees — is HistoryStore
+// (core/linkage_context.h).
 #ifndef SLIM_CORE_HISTORY_H_
 #define SLIM_CORE_HISTORY_H_
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "data/dataset.h"
 #include "geo/cell_id.h"
-#include "temporal/window_tree.h"
 
 namespace slim {
 
@@ -46,99 +44,11 @@ struct HistoryConfig {
 };
 
 /// Groups one entity's records into time-location bins, sorted by
-/// (window, cell) with per-bin record counts. This is the shared binning
-/// kernel behind both the sparse MobilityHistory and the dense HistoryStore
-/// (core/linkage_context.h).
+/// (window, cell) with per-bin record counts. This is the binning kernel
+/// behind every HistoryStore (core/linkage_context.h), batch-built or
+/// appended.
 std::vector<TimeLocationBin> GroupRecordsIntoBins(
     std::span<const Record> records, const HistoryConfig& config);
-
-/// The mobility history of a single entity.
-class MobilityHistory {
- public:
-  MobilityHistory() = default;
-
-  /// Builds a history from one entity's records. Bins are sorted by
-  /// (window, cell).
-  static MobilityHistory FromRecords(EntityId entity,
-                                     std::span<const Record> records,
-                                     const HistoryConfig& config);
-
-  EntityId entity() const { return entity_; }
-  /// Total number of time-location bins |H_u| (the paper's history size).
-  size_t num_bins() const { return bins_.size(); }
-  /// All bins, sorted by (window, cell).
-  const std::vector<TimeLocationBin>& bins() const { return bins_; }
-  /// Sorted distinct leaf-window indices with at least one bin.
-  const std::vector<int64_t>& windows() const { return windows_; }
-  /// The bins of one window (empty span if the window is unoccupied).
-  std::span<const TimeLocationBin> BinsInWindow(int64_t window) const;
-  /// Hierarchical aggregation over the bins (dominating-cell queries for
-  /// the LSH layer). Empty tree for an empty history.
-  const WindowSegmentTree& tree() const { return tree_; }
-  /// Total record count across bins.
-  uint64_t total_records() const { return total_records_; }
-
- private:
-  EntityId entity_ = 0;
-  std::vector<TimeLocationBin> bins_;
-  std::vector<int64_t> windows_;
-  // window -> [first, last) span into bins_.
-  std::unordered_map<int64_t, std::pair<size_t, size_t>> window_index_;
-  WindowSegmentTree tree_;
-  uint64_t total_records_ = 0;
-};
-
-/// All histories of one dataset plus the dataset-level statistics used by
-/// the similarity score: per-bin entity counts (for IDF, Eq. 3) and the
-/// average history size (for the normalisation L, Eq. 2).
-class HistorySet {
- public:
-  /// Builds the histories of every entity in `dataset`. Per-entity history
-  /// construction is data-parallel over `threads` workers (<= 0 means the
-  /// library default; see common/parallel.h); the dataset-level statistics
-  /// are merged in entity order afterwards, so the result is identical at
-  /// every thread count.
-  static HistorySet Build(const LocationDataset& dataset,
-                          const HistoryConfig& config, int threads = 0);
-
-  const HistoryConfig& config() const { return config_; }
-  size_t size() const { return histories_.size(); }
-  /// Histories sorted by entity id.
-  const std::vector<MobilityHistory>& histories() const { return histories_; }
-  /// History of `entity`; nullptr when absent.
-  const MobilityHistory* Find(EntityId entity) const;
-  /// Mean |H_u| over the dataset (0 when empty).
-  double avg_bins_per_history() const { return avg_bins_; }
-
-  /// Number of histories containing bin (window, cell).
-  uint32_t BinEntityCount(int64_t window, CellId cell) const;
-
-  /// idf(e, E) = log(|U_E| / |{u : e in H_u}|), Eq. 3. Bins absent from the
-  /// dataset get the maximal idf log(|U_E|) (they are maximally unique).
-  double Idf(int64_t window, CellId cell) const;
-
-  /// The normalisation L(u, E) = (1 - b) + b * |H_u| / avg|H| of Eq. 2.
-  /// Requires 0 <= b <= 1 and a non-empty set.
-  double LengthNorm(const MobilityHistory& history, double b) const;
-
- private:
-  struct BinKeyHash {
-    size_t operator()(const std::pair<int64_t, uint64_t>& k) const noexcept {
-      uint64_t z = static_cast<uint64_t>(k.first) * 0x9e3779b97f4a7c15ULL ^
-                   k.second;
-      z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-      z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-      return static_cast<size_t>(z ^ (z >> 31));
-    }
-  };
-
-  HistoryConfig config_;
-  std::vector<MobilityHistory> histories_;
-  std::unordered_map<EntityId, size_t> by_entity_;
-  std::unordered_map<std::pair<int64_t, uint64_t>, uint32_t, BinKeyHash>
-      bin_entity_counts_;
-  double avg_bins_ = 0.0;
-};
 
 }  // namespace slim
 

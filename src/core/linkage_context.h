@@ -1,9 +1,7 @@
-// Dense interned representation of a linkage problem.
-//
-// The sparse per-entity structures (core/history.h) are convenient for
-// construction and diagnostics, but the scoring and candidate-filtering hot
-// paths should never pay hash-map costs per lookup. This header provides
-// the dense core the pipeline runs on:
+// Dense interned representation of a linkage problem — the one history
+// representation. Records are binned per entity by GroupRecordsIntoBins
+// (core/history.h) and interned here, so the scoring, candidate-filtering
+// and baseline paths never pay hash-map costs per lookup:
 //
 //   BinVocabulary  — interns every (window, cell) time-location bin that
 //                    occurs in EITHER dataset into a contiguous BinId, so
@@ -16,11 +14,12 @@
 //                    layer queries. Entities are addressed by dense
 //                    EntityIdx (their rank in the sorted entity-id list).
 //   LinkageContext — the vocabulary plus the two stores; the input to the
-//                    similarity engine and every CandidateGenerator.
+//                    similarity engine, every CandidateGenerator, and the
+//                    ST-Link baseline.
 //
 // Construction is data-parallel over entities and deterministic: BinIds
 // are assigned in (window, cell) order, so a history's bin span is sorted
-// by BinId exactly as the sparse MobilityHistory sorts its bins.
+// by BinId exactly as GroupRecordsIntoBins sorts its bins.
 //
 // Every flat array lives in a FlatArray<T> (common/flat_array.h): the
 // build path owns plain vectors, while a context loaded from an SCTX file

@@ -305,6 +305,9 @@ class SctxIo {
                        [vocab](BinId b) { return b < vocab; })) {
         return Status::InvalidArgument("SCTX bin id out of range: " + path);
       }
+      if (!WindowIndexValid(ctx.vocab, store)) {
+        return Status::InvalidArgument("SCTX window index corrupt: " + path);
+      }
       // Identical to the builder's division, so avg-dependent scores match
       // bit for bit.
       store.avg_bins_ =
@@ -322,6 +325,42 @@ class SctxIo {
   }
 
  private:
+  // Whether every entity's window index describes its bins: its first
+  // window starts at its first bin, each window holds at least one bin,
+  // the windows strictly ascend, each bin filed under a window carries
+  // that window in the vocabulary, and the stored fingerprint is the one
+  // its windows give. The offset and bin-id checks keep every read in
+  // range; a mismatch here would still score the wrong windows. One pass,
+  // O(entities + windows + bins).
+  static bool WindowIndexValid(const BinVocabulary& vocab,
+                               const HistoryStore& store) {
+    constexpr size_t kWords = HistoryStore::kWindowMaskWords;
+    for (EntityIdx u = 0; u < store.size(); ++u) {
+      const uint32_t first = store.window_offsets_[u];
+      const uint32_t last = store.window_offsets_[u + 1];
+      if (store.window_bin_begin_[first] != store.bin_offsets_[u]) {
+        return false;
+      }
+      uint64_t mask[kWords] = {};
+      for (uint32_t w = first; w < last; ++w) {
+        const int64_t window = store.windows_[w];
+        if (w > first && store.windows_[w - 1] >= window) return false;
+        const uint32_t begin = store.window_bin_begin_[w];
+        const uint32_t end = store.window_bin_begin_[w + 1];
+        if (begin >= end) return false;
+        for (uint32_t p = begin; p < end; ++p) {
+          if (vocab.window(store.bin_ids_[p]) != window) return false;
+        }
+        const uint64_t bits = static_cast<uint64_t>(window);
+        mask[(bits >> 6) & (kWords - 1)] |= uint64_t{1} << (bits & 63);
+      }
+      if (!std::equal(mask, mask + kWords, store.window_mask(u))) {
+        return false;
+      }
+    }
+    return true;
+  }
+
   // Rebuilds the per-entity window trees from the mapped CSR + vocabulary.
   // The entry sequence is exactly the (window, cell)-sorted bin order the
   // original build fed WindowSegmentTree::Build, so the rebuilt trees are

@@ -59,7 +59,8 @@ struct SctxReadOptions {
 /// mapping (LinkageContext::backing keeps it alive across copies). Fails
 /// with InvalidArgument on bad magic / version skew / structural
 /// inconsistencies (an offset array that does not run from 0 up to its
-/// header count, a bin id outside the vocabulary) and IoError on
+/// header count, a bin id outside the vocabulary, a window index that
+/// disagrees with its entity's bins or fingerprint) and IoError on
 /// unreadable or truncated files.
 Result<LinkageContext> ReadSctx(const std::string& path,
                                 const SctxReadOptions& options = {});

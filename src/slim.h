@@ -43,7 +43,6 @@
 #include "match/bipartite.h"  // IWYU pragma: export
 #include "match/matcher.h"    // IWYU pragma: export
 
-#include "lsh/lsh_index.h"  // IWYU pragma: export
 #include "lsh/signature.h"  // IWYU pragma: export
 
 #include "core/candidates.h"       // IWYU pragma: export

@@ -5,6 +5,7 @@
 #include "core/candidates.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -83,7 +84,11 @@ TEST(BruteForceCandidatesTest, CoversTheFullCrossProduct) {
   }
 }
 
-TEST(LshCandidatesTest, MatchesTheUnderlyingLshIndex) {
+TEST(LshCandidatesTest, MatchesBandEqualityOfTheSignatures) {
+  // The reference semantics of banded LSH: with num_buckets = SIZE_MAX a
+  // bucket key is the raw 64-bit band hash, so (u, v) must be a candidate
+  // iff some band of their signatures has identical rows that are not all
+  // placeholders.
   const SampledPair pair = MakeSampledPair(4);
   const LinkageContext ctx =
       LinkageContext::Build(pair.a, pair.b, HConfig());
@@ -91,29 +96,54 @@ TEST(LshCandidatesTest, MatchesTheUnderlyingLshIndex) {
   lc.signature_spatial_level = 10;
   lc.temporal_step_windows = 8;
   lc.similarity_threshold = 0.4;
+  lc.num_buckets = SIZE_MAX;
   const auto gen = MakeCandidateGenerator(CandidateKind::kLsh, ctx, lc,
                                           GridBlockingConfig{});
   EXPECT_EQ(gen->name(), "lsh");
 
-  // An independently built index must agree pair-for-pair after re-keying
-  // entity ids to dense indices.
-  std::vector<LshIndex::Entry> left, right;
-  for (EntityIdx u = 0; u < ctx.store_e.size(); ++u) {
-    left.push_back({ctx.store_e.entity_id(u), &ctx.store_e.tree(u)});
-  }
+  const LshWindowSpan span = GlobalWindowSpan(ctx);
+  ASSERT_FALSE(span.empty());
+  auto signature = [&](const HistoryStore& store, EntityIdx u) {
+    return BuildSignature(store.tree(u), span.lo, span.end,
+                          lc.temporal_step_windows,
+                          lc.signature_spatial_level);
+  };
+  std::vector<LshSignature> right;
   for (EntityIdx v = 0; v < ctx.store_i.size(); ++v) {
-    right.push_back({ctx.store_i.entity_id(v), &ctx.store_i.tree(v)});
+    right.push_back(signature(ctx.store_i, v));
   }
-  const LshIndex index = LshIndex::Build(left, right, lc);
-  EXPECT_EQ(gen->total_candidate_pairs(), index.total_candidate_pairs());
+  ASSERT_FALSE(right.empty());
+  const size_t size = right.front().size();
+  const size_t bands =
+      static_cast<size_t>(ComputeNumBands(size, lc.similarity_threshold));
+  const size_t rows = (size + bands - 1) / bands;
+  ASSERT_GE(bands, 1u);
+  ASSERT_GE(bands * rows, size);  // the bands cover the signature
+
+  uint64_t total = 0;
   for (EntityIdx u = 0; u < ctx.store_e.size(); ++u) {
-    const auto& expected_ids = index.CandidatesFor(ctx.store_e.entity_id(u));
+    const LshSignature left = signature(ctx.store_e, u);
+    ASSERT_EQ(left.size(), size);
     std::vector<EntityIdx> expected;
-    for (const EntityId v : expected_ids) {
-      expected.push_back(*ctx.store_i.IndexOf(v));
+    for (EntityIdx v = 0; v < ctx.store_i.size(); ++v) {
+      bool collides = false;
+      for (size_t band = 0; band < bands && !collides; ++band) {
+        const size_t lo = band * rows;
+        const size_t hi = std::min(size, lo + rows);
+        bool identical = true, evidence = false;
+        for (size_t row = lo; row < hi; ++row) {
+          identical &= left.cells[row] == right[v].cells[row];
+          evidence |= !left.IsPlaceholder(row);
+        }
+        collides = identical && evidence;
+      }
+      if (collides) expected.push_back(v);
     }
     EXPECT_EQ(ToVector(gen->CandidatesFor(u)), expected) << "entity idx " << u;
+    total += expected.size();
   }
+  EXPECT_GT(total, 0u);
+  EXPECT_EQ(gen->total_candidate_pairs(), total);
 }
 
 TEST(GridBlockingCandidatesTest, SharedBinImpliesCandidacy) {

@@ -124,12 +124,12 @@ TEST(RegionRecords, RecordSpansMultipleBins) {
   HistoryConfig region_cfg = point_cfg;
   region_cfg.region_radius_meters = 3000.0;  // level-14 cells are ~1.2 km
 
-  const HistorySet points = HistorySet::Build(ds, point_cfg);
-  const HistorySet regions = HistorySet::Build(ds, region_cfg);
-  EXPECT_EQ(points.Find(1)->num_bins(), 1u);
-  EXPECT_GT(regions.Find(1)->num_bins(), 4u);
+  const auto points = GroupRecordsIntoBins(ds.RecordsOf(1), point_cfg);
+  const auto regions = GroupRecordsIntoBins(ds.RecordsOf(1), region_cfg);
+  EXPECT_EQ(points.size(), 1u);
+  EXPECT_GT(regions.size(), 4u);
   // All bins sit in the same window.
-  for (const auto& bin : regions.Find(1)->bins()) {
+  for (const auto& bin : regions) {
     EXPECT_EQ(bin.window, 0);
   }
 }
@@ -148,10 +148,9 @@ TEST(RegionRecords, RegionOverlapMakesBoundaryNeighborsMatchExactly) {
   HistoryConfig cfg;
   cfg.spatial_level = 14;
   cfg.region_radius_meters = 500.0;
-  const HistorySet set = HistorySet::Build(ds, cfg);
   // The two entities share at least one bin.
-  const auto& b1 = set.Find(1)->bins();
-  const auto& b2 = set.Find(2)->bins();
+  const auto b1 = GroupRecordsIntoBins(ds.RecordsOf(1), cfg);
+  const auto b2 = GroupRecordsIntoBins(ds.RecordsOf(2), cfg);
   bool shared = false;
   for (const auto& x : b1) {
     for (const auto& y : b2) shared |= (x.cell == y.cell);

@@ -8,6 +8,7 @@
 // committed pre-refactor output on the committed quick-bench dataset
 // (tests/golden/): a core refactor that changes any link score by even one
 // ULP fails here.
+#include <algorithm>
 #include <fstream>
 #include <iterator>
 #include <string>
@@ -40,29 +41,6 @@ const LinkedPairSample& Sample() {
   return *sample;
 }
 
-TEST(Determinism, HistorySetIsIdenticalAtEveryThreadCount) {
-  const HistoryConfig config;
-  const HistorySet reference = HistorySet::Build(Sample().a, config, 1);
-  for (int threads : {2, 3, 8}) {
-    const HistorySet set = HistorySet::Build(Sample().a, config, threads);
-    ASSERT_EQ(set.size(), reference.size()) << threads;
-    EXPECT_DOUBLE_EQ(set.avg_bins_per_history(),
-                     reference.avg_bins_per_history())
-        << threads;
-    for (size_t k = 0; k < set.size(); ++k) {
-      const MobilityHistory& a = set.histories()[k];
-      const MobilityHistory& b = reference.histories()[k];
-      ASSERT_EQ(a.entity(), b.entity()) << threads;
-      ASSERT_EQ(a.bins(), b.bins()) << threads << " entity " << a.entity();
-      // The dataset-level statistics every bin feeds must agree too.
-      for (const TimeLocationBin& bin : a.bins()) {
-        EXPECT_EQ(set.BinEntityCount(bin.window, bin.cell),
-                  reference.BinEntityCount(bin.window, bin.cell));
-      }
-    }
-  }
-}
-
 TEST(Determinism, LinkageContextIsIdenticalAtEveryThreadCount) {
   const HistoryConfig config;
   const LinkageContext reference =
@@ -83,6 +61,8 @@ TEST(Determinism, LinkageContextIsIdenticalAtEveryThreadCount) {
       ASSERT_EQ(a.bin_ids(), b.bin_ids()) << threads;
       ASSERT_EQ(a.bin_counts(), b.bin_counts()) << threads;
       for (BinId bin = 0; bin < a.idf_values().size(); ++bin) {
+        ASSERT_EQ(a.bin_entity_count(bin), b.bin_entity_count(bin))
+            << threads << " bin " << bin;
         ASSERT_EQ(a.idf(bin), b.idf(bin)) << threads << " bin " << bin;
       }
     };
@@ -91,36 +71,25 @@ TEST(Determinism, LinkageContextIsIdenticalAtEveryThreadCount) {
   }
 }
 
-TEST(Determinism, LshIndexIsIdenticalAtEveryThreadCount) {
+TEST(Determinism, LshCandidatesAreIdenticalAtEveryThreadCount) {
   const HistoryConfig hconfig;
-  const HistorySet set_e = HistorySet::Build(Sample().a, hconfig, 1);
-  const HistorySet set_i = HistorySet::Build(Sample().b, hconfig, 1);
-  std::vector<LshIndex::Entry> left, right;
-  for (const auto& h : set_e.histories()) {
-    left.push_back({h.entity(), &h.tree()});
-  }
-  for (const auto& h : set_i.histories()) {
-    right.push_back({h.entity(), &h.tree()});
-  }
-
+  const LinkageContext ctx =
+      LinkageContext::Build(Sample().a, Sample().b, hconfig, 1);
   const SlimConfig defaults;  // the stock LSH operating point
-  const LshIndex reference = LshIndex::Build(left, right, defaults.lsh, 1);
+  const auto reference = MakeCandidateGenerator(
+      CandidateKind::kLsh, ctx, defaults.lsh, defaults.grid, 1);
+  ASSERT_GT(reference->total_candidate_pairs(), 0u);
   for (int threads : {2, 5, 8}) {
-    const LshIndex index = LshIndex::Build(left, right, defaults.lsh, threads);
-    EXPECT_EQ(index.total_candidate_pairs(),
-              reference.total_candidate_pairs())
+    const auto generator = MakeCandidateGenerator(
+        CandidateKind::kLsh, ctx, defaults.lsh, defaults.grid, threads);
+    EXPECT_EQ(generator->total_candidate_pairs(),
+              reference->total_candidate_pairs())
         << threads;
-    EXPECT_EQ(index.signature_size(), reference.signature_size());
-    EXPECT_EQ(index.num_bands(), reference.num_bands());
-    for (const auto& entry : left) {
-      ASSERT_EQ(index.CandidatesFor(entry.entity),
-                reference.CandidatesFor(entry.entity))
-          << threads << " entity " << entry.entity;
-      const LshSignature* a = index.LeftSignature(entry.entity);
-      const LshSignature* b = reference.LeftSignature(entry.entity);
-      ASSERT_NE(a, nullptr);
-      ASSERT_NE(b, nullptr);
-      EXPECT_EQ(a->cells, b->cells);
+    for (EntityIdx u = 0; u < ctx.store_e.size(); ++u) {
+      const auto a = generator->CandidatesFor(u);
+      const auto b = reference->CandidatesFor(u);
+      ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+          << threads << " entity idx " << u;
     }
   }
 }

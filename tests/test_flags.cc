@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "../tools/linkage_flags.h"
+
 namespace slim::tools {
 namespace {
 
@@ -67,6 +69,35 @@ TEST(Flags, NegativeNumbersViaEqualsForm) {
   const Flags f = Make({"--n=-3", "--p=-1.5"});
   EXPECT_EQ(f.GetInt("n", 0), -3);
   EXPECT_DOUBLE_EQ(f.GetDouble("p", 0.0), -1.5);
+}
+
+TEST(LinkageFlags, NoFlagsGiveTheLibraryDefaults) {
+  const SlimConfig parsed = ParseLinkageFlags(Make({}));
+  const SlimConfig defaults;
+  EXPECT_EQ(parsed.history.window_seconds, defaults.history.window_seconds);
+  EXPECT_EQ(parsed.history.spatial_level, defaults.history.spatial_level);
+  EXPECT_EQ(parsed.history.region_radius_meters,
+            defaults.history.region_radius_meters);
+  EXPECT_EQ(parsed.similarity.b, defaults.similarity.b);
+  EXPECT_EQ(parsed.similarity.proximity.max_speed_mps,
+            defaults.similarity.proximity.max_speed_mps);
+  EXPECT_EQ(parsed.candidates, defaults.candidates);
+  EXPECT_EQ(parsed.lsh.similarity_threshold, defaults.lsh.similarity_threshold);
+  EXPECT_EQ(parsed.lsh.signature_spatial_level,
+            defaults.lsh.signature_spatial_level);
+  EXPECT_EQ(parsed.lsh.temporal_step_windows,
+            defaults.lsh.temporal_step_windows);
+  EXPECT_EQ(parsed.lsh.num_buckets, defaults.lsh.num_buckets);
+  EXPECT_EQ(parsed.lsh.hash_seed, defaults.lsh.hash_seed);
+  EXPECT_EQ(parsed.threshold_method, defaults.threshold_method);
+  EXPECT_EQ(parsed.apply_stop_threshold, defaults.apply_stop_threshold);
+  EXPECT_EQ(parsed.matcher, defaults.matcher);
+  EXPECT_EQ(parsed.threads, defaults.threads);
+}
+
+TEST(LinkageFlags, ThresholdNoneDisablesTheStopThreshold) {
+  EXPECT_FALSE(
+      ParseLinkageFlags(Make({"--threshold", "none"})).apply_stop_threshold);
 }
 
 }  // namespace

@@ -1,10 +1,12 @@
-#include "lsh/lsh_index.h"
-
+// Banded LSH candidates (core/candidates.h, CandidateKind::kLsh) over the
+// dense linkage context: collision behaviour, recall on a sampled
+// workload, signature alignment on the global query grid, the list
+// contract, and the bucket-count monotonicity.
 #include <algorithm>
 
 #include <gtest/gtest.h>
 
-#include "core/history.h"
+#include "core/candidates.h"
 #include "data/cab_generator.h"
 #include "test_util.h"
 
@@ -29,19 +31,22 @@ LshConfig LConfig() {
   return c;
 }
 
-std::vector<LshIndex::Entry> Entries(const HistorySet& set) {
-  std::vector<LshIndex::Entry> out;
-  for (const auto& h : set.histories()) out.push_back({h.entity(), &h.tree()});
-  return out;
+std::unique_ptr<CandidateGenerator> Lsh(const LinkageContext& ctx,
+                                        const LshConfig& config = LConfig()) {
+  return MakeCandidateGenerator(CandidateKind::kLsh, ctx, config,
+                                GridBlockingConfig{});
 }
 
-TEST(LshIndex, EmptySidesProduceNoCandidates) {
-  const LshIndex idx = LshIndex::Build({}, {}, LConfig());
-  EXPECT_EQ(idx.total_candidate_pairs(), 0u);
-  EXPECT_TRUE(idx.CandidatesFor(1).empty());
+TEST(LshCandidates, EmptySidesProduceNoCandidates) {
+  LocationDataset a("a"), b("b");
+  a.Finalize();
+  b.Finalize();
+  const LinkageContext ctx = LinkageContext::Build(a, b, HConfig());
+  ASSERT_EQ(ctx.store_e.size(), 0u);
+  EXPECT_EQ(Lsh(ctx)->total_candidate_pairs(), 0u);
 }
 
-TEST(LshIndex, IdenticalBehaviourCollides) {
+TEST(LshCandidates, IdenticalBehaviourCollides) {
   // Entities with the same trajectory on both sides must be candidates.
   Rng rng(1);
   std::vector<LatLng> anchors;
@@ -50,18 +55,18 @@ TEST(LshIndex, IdenticalBehaviourCollides) {
   }
   const LocationDataset ds =
       testing::MakeAnchoredDataset(anchors, 24, kWindow);
-  const HistorySet set_e = HistorySet::Build(ds, HConfig());
-  const HistorySet set_i = HistorySet::Build(ds, HConfig());
-  const LshIndex idx = LshIndex::Build(Entries(set_e), Entries(set_i),
-                                       LConfig());
-  for (const auto& h : set_e.histories()) {
-    const auto& cands = idx.CandidatesFor(h.entity());
-    EXPECT_TRUE(std::binary_search(cands.begin(), cands.end(), h.entity()))
-        << "entity " << h.entity() << " does not see itself";
+  const LinkageContext ctx = LinkageContext::Build(ds, ds, HConfig());
+  const auto gen = Lsh(ctx);
+  for (EntityIdx u = 0; u < ctx.store_e.size(); ++u) {
+    const EntityId entity = ctx.store_e.entity_id(u);
+    const auto cands = gen->CandidatesFor(u);
+    EXPECT_TRUE(std::binary_search(cands.begin(), cands.end(),
+                                   *ctx.store_i.IndexOf(entity)))
+        << "entity " << entity << " does not see itself";
   }
 }
 
-TEST(LshIndex, DisjointPlacesRarelyCollide) {
+TEST(LshCandidates, DisjointPlacesRarelyCollide) {
   // Left entities live in SF, right entities in (translated) LA: their
   // dominating cells never match, so candidate lists stay empty.
   Rng rng(2);
@@ -73,32 +78,11 @@ TEST(LshIndex, DisjointPlacesRarelyCollide) {
   }
   const LocationDataset ds_e = testing::MakeAnchoredDataset(sf, 24, kWindow);
   const LocationDataset ds_i = testing::MakeAnchoredDataset(la, 24, kWindow);
-  const HistorySet set_e = HistorySet::Build(ds_e, HConfig());
-  const HistorySet set_i = HistorySet::Build(ds_i, HConfig());
-  const LshIndex idx =
-      LshIndex::Build(Entries(set_e), Entries(set_i), LConfig());
-  EXPECT_EQ(idx.total_candidate_pairs(), 0u);
+  const LinkageContext ctx = LinkageContext::Build(ds_e, ds_i, HConfig());
+  EXPECT_EQ(Lsh(ctx)->total_candidate_pairs(), 0u);
 }
 
-TEST(LshIndex, BandGeometryCoversSignature) {
-  Rng rng(3);
-  std::vector<LatLng> anchors;
-  for (int k = 0; k < 4; ++k) {
-    anchors.push_back(testing::RandomPointInBox(&rng));
-  }
-  const LocationDataset ds =
-      testing::MakeAnchoredDataset(anchors, 48, kWindow);
-  const HistorySet set = HistorySet::Build(ds, HConfig());
-  const LshIndex idx = LshIndex::Build(Entries(set), Entries(set), LConfig());
-  EXPECT_GT(idx.signature_size(), 0u);
-  EXPECT_GE(idx.num_bands(), 1);
-  EXPECT_GE(idx.rows_per_band(), 1);
-  EXPECT_GE(static_cast<size_t>(idx.num_bands()) *
-                static_cast<size_t>(idx.rows_per_band()),
-            idx.signature_size());
-}
-
-TEST(LshIndex, SignaturesAccessibleAndAligned) {
+TEST(LshCandidates, SignaturesAccessibleAndAligned) {
   Rng rng(4);
   std::vector<LatLng> anchors;
   for (int k = 0; k < 3; ++k) {
@@ -106,18 +90,26 @@ TEST(LshIndex, SignaturesAccessibleAndAligned) {
   }
   const LocationDataset ds =
       testing::MakeAnchoredDataset(anchors, 12, kWindow);
-  const HistorySet set = HistorySet::Build(ds, HConfig());
-  const LshIndex idx = LshIndex::Build(Entries(set), Entries(set), LConfig());
-  const LshSignature* left = idx.LeftSignature(0);
-  const LshSignature* right = idx.RightSignature(0);
-  ASSERT_NE(left, nullptr);
-  ASSERT_NE(right, nullptr);
-  EXPECT_EQ(left->size(), idx.signature_size());
-  EXPECT_DOUBLE_EQ(SignatureSimilarity(*left, *right), 1.0);
-  EXPECT_EQ(idx.LeftSignature(999), nullptr);
+  const LinkageContext ctx = LinkageContext::Build(ds, ds, HConfig());
+  const LshConfig lc = LConfig();
+  const LshWindowSpan span = GlobalWindowSpan(ctx);
+  ASSERT_FALSE(span.empty());
+  const LshSignature left =
+      BuildSignature(ctx.store_e.tree(0), span.lo, span.end,
+                     lc.temporal_step_windows, lc.signature_spatial_level);
+  const LshSignature right =
+      BuildSignature(ctx.store_i.tree(0), span.lo, span.end,
+                     lc.temporal_step_windows, lc.signature_spatial_level);
+  // One position per query window of the shared grid.
+  const int64_t steps =
+      (span.end - span.lo + lc.temporal_step_windows - 1) /
+      lc.temporal_step_windows;
+  EXPECT_EQ(left.size(), static_cast<size_t>(steps));
+  EXPECT_EQ(right.size(), left.size());
+  EXPECT_DOUBLE_EQ(SignatureSimilarity(left, right), 1.0);
 }
 
-TEST(LshIndex, CandidateRecallForSimilarPairsIsHigh) {
+TEST(LshCandidates, CandidateRecallForSimilarPairsIsHigh) {
   // Sample a cab workload twice (the linkage setting): for most entities
   // the true counterpart must be among the LSH candidates.
   CabGeneratorOptions gopt;
@@ -136,8 +128,7 @@ TEST(LshIndex, CandidateRecallForSimilarPairsIsHigh) {
   a.Finalize();
   b.Finalize();
 
-  const HistorySet set_e = HistorySet::Build(a, HConfig());
-  const HistorySet set_i = HistorySet::Build(b, HConfig());
+  const LinkageContext ctx = LinkageContext::Build(a, b, HConfig());
   LshConfig lc = LConfig();
   // Operating point found on this workload (cf. the Fig. 8 sweep):
   // level-10 signatures over 2-hour queries with t = 0.4 keep full recall
@@ -145,40 +136,41 @@ TEST(LshIndex, CandidateRecallForSimilarPairsIsHigh) {
   lc.signature_spatial_level = 10;
   lc.temporal_step_windows = 8;
   lc.similarity_threshold = 0.4;
-  const LshIndex idx = LshIndex::Build(Entries(set_e), Entries(set_i), lc);
+  const auto gen = Lsh(ctx, lc);
 
   size_t hits = 0, total = 0;
-  for (const auto& h : set_e.histories()) {
-    if (set_i.Find(h.entity()) == nullptr) continue;
+  for (EntityIdx u = 0; u < ctx.store_e.size(); ++u) {
+    const auto v = ctx.store_i.IndexOf(ctx.store_e.entity_id(u));
+    if (!v.has_value()) continue;
     ++total;
-    const auto& cands = idx.CandidatesFor(h.entity());
-    hits += std::binary_search(cands.begin(), cands.end(), h.entity());
+    const auto cands = gen->CandidatesFor(u);
+    hits += std::binary_search(cands.begin(), cands.end(), *v);
   }
   ASSERT_GT(total, 0u);
   EXPECT_GT(static_cast<double>(hits) / static_cast<double>(total), 0.8);
   // And it must actually filter: far fewer candidates than the full cross
   // product.
-  EXPECT_LT(idx.total_candidate_pairs(),
-            static_cast<uint64_t>(set_e.size()) * set_i.size());
+  EXPECT_LT(gen->total_candidate_pairs(),
+            static_cast<uint64_t>(ctx.store_e.size()) * ctx.store_i.size());
 }
 
-TEST(LshIndex, CandidateListsAreSortedAndUnique) {
+TEST(LshCandidates, CandidateListsAreSortedAndUnique) {
   Rng rng(8);
   std::vector<LatLng> anchors;
   for (int k = 0; k < 10; ++k)
     anchors.push_back(testing::RandomPointInBox(&rng));
   const LocationDataset ds =
       testing::MakeAnchoredDataset(anchors, 24, kWindow);
-  const HistorySet set = HistorySet::Build(ds, HConfig());
-  const LshIndex idx = LshIndex::Build(Entries(set), Entries(set), LConfig());
-  for (const auto& h : set.histories()) {
-    const auto& cands = idx.CandidatesFor(h.entity());
+  const LinkageContext ctx = LinkageContext::Build(ds, ds, HConfig());
+  const auto gen = Lsh(ctx);
+  for (EntityIdx u = 0; u < ctx.store_e.size(); ++u) {
+    const auto cands = gen->CandidatesFor(u);
     EXPECT_TRUE(std::is_sorted(cands.begin(), cands.end()));
     EXPECT_EQ(std::adjacent_find(cands.begin(), cands.end()), cands.end());
   }
 }
 
-TEST(LshIndex, MoreBucketsNeverAddCandidates) {
+TEST(LshCandidates, MoreBucketsNeverAddCandidates) {
   // Hash collisions only merge buckets; growing the bucket array can only
   // shrink (or keep) the candidate sets.
   Rng rng(9);
@@ -187,16 +179,13 @@ TEST(LshIndex, MoreBucketsNeverAddCandidates) {
     anchors.push_back(testing::RandomPointInBox(&rng));
   const LocationDataset ds =
       testing::MakeAnchoredDataset(anchors, 24, kWindow);
-  const HistorySet set = HistorySet::Build(ds, HConfig());
+  const LinkageContext ctx = LinkageContext::Build(ds, ds, HConfig());
   LshConfig small = LConfig();
   small.num_buckets = 16;
   LshConfig big = LConfig();
   big.num_buckets = 1 << 20;
-  const LshIndex idx_small =
-      LshIndex::Build(Entries(set), Entries(set), small);
-  const LshIndex idx_big = LshIndex::Build(Entries(set), Entries(set), big);
-  EXPECT_GE(idx_small.total_candidate_pairs(),
-            idx_big.total_candidate_pairs());
+  EXPECT_GE(Lsh(ctx, small)->total_candidate_pairs(),
+            Lsh(ctx, big)->total_candidate_pairs());
 }
 
 }  // namespace

@@ -10,8 +10,9 @@
 //   * Link with SlimConfig::sctx_path serializes on the first run, maps
 //     on every run, and matches the heap-context default run either way.
 //   * Corrupt inputs (bad magic, version skew, truncation, trailing
-//     garbage, a decreasing CSR offset, a bin id outside the vocabulary)
-//     fail with a Status, mirroring tests/test_sbin.cc.
+//     garbage, a decreasing CSR offset, a bin id outside the vocabulary,
+//     a window index that disagrees with its entity's bins or
+//     fingerprint) fail with a Status, mirroring tests/test_sbin.cc.
 #include "core/sctx.h"
 
 #include <unistd.h>
@@ -286,6 +287,7 @@ TEST_F(SctxTest, TrailingGarbageFails) {
 // derived from the header the way core/sctx.cc lays the arrays out.
 struct LeftStoreLayout {
   uint64_t vocab = 0, entities = 0, total_bins = 0, total_windows = 0;
+  size_t window_masks = 0, windows = 0;
   size_t bin_offsets = 0, window_offsets = 0, window_bin_begin = 0;
   size_t bin_ids = 0;
 };
@@ -306,6 +308,10 @@ void PutU32(std::string* bytes, size_t pos, uint32_t value) {
   std::memcpy(bytes->data() + pos, &value, sizeof(value));
 }
 
+void PutU64(std::string* bytes, size_t pos, uint64_t value) {
+  std::memcpy(bytes->data() + pos, &value, sizeof(value));
+}
+
 LeftStoreLayout LayoutOf(const std::string& bytes) {
   const auto pad8 = [](uint64_t b) { return (b + 7) & ~uint64_t{7}; };
   LeftStoreLayout l;
@@ -318,8 +324,10 @@ LeftStoreLayout LayoutOf(const std::string& bytes) {
   uint64_t pos = 96;               // header
   pos += 2 * pad8(l.vocab * 8);    // vocab windows, cells
   pos += 2 * pad8(n * 8);          // entity ids, records
+  l.window_masks = pos;
   pos += pad8(masks * 8);          // window masks
   pos += pad8(l.vocab * 8);        // idf
+  l.windows = pos;
   pos += pad8(tw * 8);             // windows
   l.bin_offsets = pos;
   pos += pad8((n + 1) * 4);
@@ -380,6 +388,79 @@ TEST_F(SctxTest, BinIdOutsideTheVocabularyFails) {
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(r.status().message().find("bin id"), std::string::npos)
       << r.status().message();
+}
+
+// The window-index cases below patch a file the offset and bin-id checks
+// accept; only the window-index pass can tell it from a valid one.
+void ExpectWindowIndexRejected(const std::string& path) {
+  auto r = ReadSctx(path);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(r.status().message().find("window index"), std::string::npos)
+      << r.status().message();
+}
+
+TEST_F(SctxTest, FirstWindowNotAtFirstBinFails) {
+  const std::string path = Path("window_begin.sctx");
+  ASSERT_TRUE(WriteSctx(BuildContext(), path).ok());
+  std::string bytes = ReadFile(path);
+  const LeftStoreLayout l = LayoutOf(bytes);
+  // Entity 1's first window entry moves one bin later: the entry stays
+  // between its neighbours, so the array still never decreases.
+  const uint32_t w = U32At(bytes, l.window_offsets + 4);
+  ASSERT_LT(w, l.total_windows);
+  const size_t entry = l.window_bin_begin + 4 * size_t{w};
+  const uint32_t begin = U32At(bytes, entry);
+  ASSERT_EQ(begin, U32At(bytes, l.bin_offsets + 4));  // the layout is right
+  ASSERT_LE(begin + 1, U32At(bytes, entry + 4));
+  PutU32(&bytes, entry, begin + 1);
+  WriteFile(path, bytes);
+  ExpectWindowIndexRejected(path);
+}
+
+TEST_F(SctxTest, SwappedWindowsFail) {
+  const std::string path = Path("window_order.sctx");
+  ASSERT_TRUE(WriteSctx(BuildContext(), path).ok());
+  std::string bytes = ReadFile(path);
+  const LeftStoreLayout l = LayoutOf(bytes);
+  // The first entity with two windows gets them in swapped order; the
+  // set of windows — and so the fingerprint — is unchanged.
+  size_t first = l.total_windows;
+  for (size_t u = 0; u < l.entities; ++u) {
+    const uint32_t w0 = U32At(bytes, l.window_offsets + 4 * u);
+    const uint32_t w1 = U32At(bytes, l.window_offsets + 4 * (u + 1));
+    if (w1 - w0 >= 2) {
+      first = w0;
+      break;
+    }
+  }
+  ASSERT_LT(first + 1, l.total_windows);
+  const uint64_t a = U64At(bytes, l.windows + 8 * first);
+  const uint64_t b = U64At(bytes, l.windows + 8 * (first + 1));
+  ASSERT_LT(static_cast<int64_t>(a), static_cast<int64_t>(b));
+  PutU64(&bytes, l.windows + 8 * first, b);
+  PutU64(&bytes, l.windows + 8 * (first + 1), a);
+  WriteFile(path, bytes);
+  ExpectWindowIndexRejected(path);
+}
+
+TEST_F(SctxTest, ClearedFingerprintBitFails) {
+  const std::string path = Path("window_mask.sctx");
+  ASSERT_TRUE(WriteSctx(BuildContext(), path).ok());
+  std::string bytes = ReadFile(path);
+  const LeftStoreLayout l = LayoutOf(bytes);
+  // Clear the lowest set bit of entity 0's fingerprint.
+  size_t word = 0;
+  while (word < HistoryStore::kWindowMaskWords &&
+         U64At(bytes, l.window_masks + 8 * word) == 0) {
+    ++word;
+  }
+  ASSERT_LT(word, HistoryStore::kWindowMaskWords);
+  const size_t pos = l.window_masks + 8 * word;
+  const uint64_t mask = U64At(bytes, pos);
+  PutU64(&bytes, pos, mask & (mask - 1));
+  WriteFile(path, bytes);
+  ExpectWindowIndexRejected(path);
 }
 
 TEST_F(SctxTest, WriteToUnwritablePathFails) {

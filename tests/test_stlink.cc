@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "data/checkin_generator.h"
+#include "data/sampler.h"
 #include "test_util.h"
 
 namespace slim {
@@ -163,6 +165,42 @@ TEST(StLink, CandidateGraphEdgesAreKeySorted) {
         edges[k - 1].u < edges[k].u ||
         (edges[k - 1].u == edges[k].u && edges[k - 1].v < edges[k].v);
     EXPECT_TRUE(sorted) << "edge " << k << " out of (u, v) order";
+  }
+}
+
+// The per-shard accumulation (pair maps keyed by dense index, drained and
+// key-sorted) must give the same result at every thread count, down to
+// the bits of every score.
+TEST(StLink, IdenticalAtEveryThreadCount) {
+  CheckinGeneratorOptions gen;
+  gen.num_users = 800;
+  gen.seed = 61;
+  const LocationDataset master = GenerateCheckinDataset(gen);
+  PairSampleOptions sampling;
+  sampling.entities_per_side = 300;
+  sampling.seed = 62;
+  auto sample = SampleLinkedPair(master, sampling);
+  ASSERT_TRUE(sample.ok()) << sample.status().ToString();
+
+  StLinkConfig config;  // auto k and l
+  config.threads = 1;
+  auto reference = StLinkLinker(config).Link(sample->a, sample->b);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  ASSERT_GT(reference->graph.num_edges(), 0u);
+  ASSERT_GT(reference->links.size(), 0u);
+  for (int threads : {2, 8}) {
+    config.threads = threads;
+    auto r = StLinkLinker(config).Link(sample->a, sample->b);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    // operator== compares the doubles exactly.
+    EXPECT_EQ(r->links, reference->links) << threads;
+    EXPECT_EQ(r->graph.edges(), reference->graph.edges()) << threads;
+    EXPECT_EQ(r->k_used, reference->k_used) << threads;
+    EXPECT_EQ(r->l_used, reference->l_used) << threads;
+    EXPECT_EQ(r->ambiguous_entities, reference->ambiguous_entities)
+        << threads;
+    EXPECT_EQ(r->record_comparisons, reference->record_comparisons)
+        << threads;
   }
 }
 

@@ -20,6 +20,7 @@
 
 #include "common/build_info.h"
 #include "flags.h"
+#include "linkage_flags.h"
 #include "slim.h"
 
 namespace {
@@ -141,26 +142,14 @@ int main(int argc, char** argv) {
                a->num_entities(), a->num_records(), b->num_entities(),
                b->num_records());
 
-  slim::SlimConfig config;
-  config.history.window_seconds = flags.GetInt("window_minutes", 15) * 60;
-  config.history.spatial_level =
-      static_cast<int>(flags.GetInt("spatial_level", 12));
+  slim::SlimConfig config = slim::tools::ParseLinkageFlags(flags);
   config.history.region_radius_meters = flags.GetDouble("region_radius_m", 0);
-  config.similarity.b = flags.GetDouble("b_param", 0.5);
-  config.similarity.proximity.max_speed_mps =
-      flags.GetDouble("max_speed_kmh", 120.0) / 3.6;
-  const std::string candidates_flag = flags.GetString("candidates", "");
-  auto candidates = slim::ParseCandidateKind(
-      candidates_flag.empty() ? "lsh" : candidates_flag);
-  if (!candidates.ok()) {
-    slim::tools::Flags::Fail(candidates.status().ToString());
-  }
-  config.candidates = *candidates;
   if (flags.GetBool("no_lsh", false)) {
     // Legacy alias. Refuse a contradictory explicit --candidates rather
     // than silently discarding it.
+    const std::string candidates_flag = flags.GetString("candidates", "");
     if (!candidates_flag.empty() &&
-        *candidates != slim::CandidateKind::kBruteForce) {
+        config.candidates != slim::CandidateKind::kBruteForce) {
       slim::tools::Flags::Fail("--no_lsh conflicts with --candidates " +
                                candidates_flag);
     }
@@ -170,14 +159,6 @@ int main(int argc, char** argv) {
       static_cast<uint32_t>(flags.GetInt("grid_max_bin", 0));
   config.grid.min_overlap_records =
       static_cast<uint32_t>(flags.GetInt("grid_min_overlap", 0));
-  config.lsh.signature_spatial_level =
-      static_cast<int>(flags.GetInt("lsh_level", 10));
-  config.lsh.temporal_step_windows =
-      static_cast<int>(flags.GetInt("lsh_step", 8));
-  config.lsh.similarity_threshold = flags.GetDouble("lsh_threshold", 0.5);
-  config.lsh.num_buckets =
-      static_cast<size_t>(flags.GetInt("lsh_buckets", 4096));
-  config.threads = static_cast<int>(flags.GetInt("threads", 0));
   config.shards = static_cast<int>(flags.GetInt("shards", 0));
   config.left_shards = static_cast<int>(flags.GetInt("left_shards", 0));
   const long long budget_mb = flags.GetInt("memory_budget_mb", 0);
@@ -194,25 +175,6 @@ int main(int argc, char** argv) {
   }
   config.spill_run_bytes =
       static_cast<uint64_t>(spill_run_mb) * (uint64_t{1} << 20);
-
-  const std::string thr = flags.GetString("threshold", "gmm");
-  if (thr == "gmm") {
-    config.threshold_method = slim::ThresholdMethod::kGmmExpectedF1;
-  } else if (thr == "otsu") {
-    config.threshold_method = slim::ThresholdMethod::kOtsu;
-  } else if (thr == "two_means") {
-    config.threshold_method = slim::ThresholdMethod::kTwoMeans;
-  } else if (thr == "none") {
-    config.apply_stop_threshold = false;
-  } else {
-    slim::tools::Flags::Fail("unknown --threshold: " + thr);
-  }
-  const std::string matcher = flags.GetString("matcher", "greedy");
-  if (matcher == "hungarian") {
-    config.matcher = slim::MatcherKind::kHungarian;
-  } else if (matcher != "greedy") {
-    slim::tools::Flags::Fail("unknown --matcher: " + matcher);
-  }
 
   if (flags.GetBool("auto_tune", false)) {
     slim::TuningOptions tuning;

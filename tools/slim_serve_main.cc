@@ -4,8 +4,9 @@
 //   slim_serve --socket /tmp/slim.sock
 //              [--spatial_level N] [--window_minutes M] [--b_param X]
 //              [--max_speed_kmh S] [--candidates lsh|brute|grid]
-//              [--matcher greedy|hungarian] [--threshold gmm|otsu|two_means|
-//              none] [--threads N]
+//              [--lsh_level N] [--lsh_step N] [--lsh_threshold T]
+//              [--lsh_buckets N] [--matcher greedy|hungarian]
+//              [--threshold gmm|otsu|two_means|none] [--threads N]
 //   Serves the slim-serve-v1 protocol (docs/SERVING.md) on a Unix-domain
 //   socket until SHUTDOWN or SIGINT/SIGTERM. Epoch link sets are
 //   bit-identical to a from-scratch slim_link --min_records 0 run over
@@ -30,6 +31,7 @@
 
 #include "common/build_info.h"
 #include "flags.h"
+#include "linkage_flags.h"
 #include "serve/server.h"
 #include "slim.h"
 
@@ -190,47 +192,9 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  slim::SlimConfig config;
-  config.history.window_seconds = flags.GetInt("window_minutes", 15) * 60;
-  config.history.spatial_level =
-      static_cast<int>(flags.GetInt("spatial_level", 12));
-  config.similarity.b = flags.GetDouble("b_param", 0.5);
-  config.similarity.proximity.max_speed_mps =
-      flags.GetDouble("max_speed_kmh", 120.0) / 3.6;
-  auto candidates =
-      slim::ParseCandidateKind(flags.GetString("candidates", "lsh"));
-  if (!candidates.ok()) {
-    slim::tools::Flags::Fail(candidates.status().ToString());
-  }
-  config.candidates = *candidates;
-  // Same defaults as slim_link, so a daemon session and a from-scratch
-  // batch run agree byte for byte without extra flags (docs/SERVING.md).
-  config.lsh.signature_spatial_level =
-      static_cast<int>(flags.GetInt("lsh_level", 10));
-  config.lsh.temporal_step_windows =
-      static_cast<int>(flags.GetInt("lsh_step", 8));
-  config.lsh.similarity_threshold = flags.GetDouble("lsh_threshold", 0.5);
-  config.lsh.num_buckets =
-      static_cast<size_t>(flags.GetInt("lsh_buckets", 4096));
-  const std::string matcher = flags.GetString("matcher", "greedy");
-  if (matcher == "hungarian") {
-    config.matcher = slim::MatcherKind::kHungarian;
-  } else if (matcher != "greedy") {
-    slim::tools::Flags::Fail("unknown --matcher: " + matcher);
-  }
-  const std::string thr = flags.GetString("threshold", "gmm");
-  if (thr == "gmm") {
-    config.threshold_method = slim::ThresholdMethod::kGmmExpectedF1;
-  } else if (thr == "otsu") {
-    config.threshold_method = slim::ThresholdMethod::kOtsu;
-  } else if (thr == "two_means") {
-    config.threshold_method = slim::ThresholdMethod::kTwoMeans;
-  } else if (thr == "none") {
-    config.apply_stop_threshold = false;
-  } else {
-    slim::tools::Flags::Fail("unknown --threshold: " + thr);
-  }
-  config.threads = static_cast<int>(flags.GetInt("threads", 0));
+  // The linkage flags and defaults slim_link uses, so a daemon session
+  // and a from-scratch batch run agree byte for byte (docs/SERVING.md).
+  const slim::SlimConfig config = slim::tools::ParseLinkageFlags(flags);
 
   std::signal(SIGINT, HandleStopSignal);
   std::signal(SIGTERM, HandleStopSignal);
