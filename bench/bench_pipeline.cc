@@ -36,37 +36,10 @@ struct PipelineRun {
   LinkageResult result;
 };
 
-const char* const kStageNames[] = {"histories", "lsh", "scoring", "matching",
-                                   "total"};
-
-double StageOf(const LinkageResult& r, const std::string& stage) {
-  if (stage == "histories") return r.seconds_histories;
-  if (stage == "lsh") return r.seconds_lsh;
-  if (stage == "scoring") return r.seconds_scoring;
-  if (stage == "matching") return r.seconds_matching;
-  return r.seconds_total;
-}
-
-uint64_t RssOf(const LinkageResult& r, const std::string& stage) {
-  if (stage == "histories") return r.rss_peak_histories;
-  if (stage == "lsh") return r.rss_peak_lsh;
-  if (stage == "scoring") return r.rss_peak_scoring;
-  if (stage == "matching") return r.rss_peak_matching;
-  return r.rss_peak_total;
-}
-
-std::vector<size_t> ParseSizeList(const std::string& csv) {
-  std::vector<size_t> out;
-  std::stringstream ss(csv);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    const long v = std::strtol(item.c_str(), nullptr, 10);
-    SLIM_CHECK_MSG(v > 0, "list entries must be positive integers");
-    out.push_back(static_cast<size_t>(v));
-  }
-  SLIM_CHECK_MSG(!out.empty(), "empty list flag");
-  return out;
-}
+using bench::kStageNames;
+using bench::ParseSizeList;
+using bench::RssOf;
+using bench::StageOf;
 
 // Identical-output gate between two runs of the same workload.
 bool SameLinkage(const LinkageResult& a, const LinkageResult& b,

@@ -1,41 +1,54 @@
-// Scale bench — the 1M-entities-per-side milestone: mmap-backed SCTX
-// context, two-sided (L x K) sharding, and the streaming external matcher,
-// all under one stated memory budget.
+// Scale bench — the memory half of SLIM's scalability claim, measured on
+// the path a large run takes: an mmap-backed SCTX context, two-sided
+// (L x K) sharding, and the streaming external matcher, under one stated
+// memory budget.
 //
-// Like bench_sharded, every measured configuration runs in a fresh child
-// process (peak RSS is a process-monotone high-water mark), but the
-// context build is hoisted OUT of the measured runs: a builder child
-// interns the datasets once and serializes the context to an SCTX file
-// (core/sctx.h); each measured child then maps that file read-only and
-// runs LinkShardedContext with the graph stage disabled (keep_graph =
-// false), so its peak RSS is the thing the tentpole bounds — one L x K
-// block of candidates + scoring, the external sort's run buffers, and the
-// matching — not the context build or the full edge graph.
+// Peak process RSS is a monotone high-water mark (common/resource.h), so
+// runs sharing one process mask each other. Every measured configuration
+// therefore runs in a fresh child process of this binary and reports its
+// stage seconds and RSS peaks as a run-shaped JSON the parent reads back
+// (bench_util.h). The parent:
+//   1. generates the SM-style workload (a 2x-target check-in master with
+//      both sides sampled from it; sm1m-shaped, --quick is CI-sized) and
+//      writes the sides as SBIN;
+//   2. runs the MONOLITHIC in-heap driver (SlimLinker::Link) as probes at
+//      target/8 and target/4 entities per side, sampled from the same
+//      master, and fits a power law to their block footprint to
+//      extrapolate the monolithic block at the target — extrapolated,
+//      because at full scale that block is what sharding refuses to
+//      materialise;
+//   3. runs a builder child that interns the target sides once and
+//      serializes the context to an SCTX file (core/sctx.h), outside every
+//      measured run;
+//   4. runs the plan matrix: each child maps the SCTX file and runs
+//      LinkShardedContext with keep_graph = false, so its peak RSS is one
+//      L x K block of candidates + scoring, the external sort's run
+//      buffers and the matching — not the context build, not the edge
+//      graph. Quick mode fixes the matrix to {1x1, 1x7, 2x4, 4x16} x
+//      threads {1, 8}, with a run buffer small enough that the multi-block
+//      plans spill to disk and k-way merge;
+//   5. in quick mode, also runs the monolithic driver on the target sides.
 //
-// The parent:
-//   1. generates the SM-style workload (sm1m-shaped; --quick is CI-sized),
-//      writes both sides as SBIN, and runs the builder child;
-//   2. runs the measured plan matrix — quick mode fixes it to
-//      {(1,1), (2,4), (4,16)} x threads {1,8}, the ISSUE-9 acceptance
-//      matrix — with a run-buffer budget small enough (quick) that the
-//      multi-block plans actually spill to disk and k-way merge;
-//   3. in quick mode also runs the MONOLITHIC driver on the same sides and
-//      requires every measured run's links hash to equal it (bit-identity
-//      gate); at any scale all measured runs must agree with each other;
-//   4. gates every measured run's peak RSS against the stated budget and
-//      writes BENCH_scale.json (schema slim-bench-scale-v1).
-//
-// Budgets (docs/BENCHMARKS.md, "Scaling to 1M entities per side", derives
-// them): quick 2 GiB, full 12 GiB. Registered with ctest as
-// bench_scale_quick — the determinism matrix is an acceptance gate, not
-// just a report.
+// A run's block is peak_rss_bytes.scoring - peak_rss_bytes.histories: the
+// RSS growth from the end of the context stage to the end of scoring, the
+// part sharding bounds. Gates, each exiting 1:
+//   * determinism: every plan x threads run has the same links hash, and
+//     in quick mode so does the monolithic reference;
+//   * memory budget: every plan run's peak RSS is under the budget (quick
+//     2 GiB, full 12 GiB; docs/BENCHMARKS.md derives them);
+//   * RSS reduction, full mode only (quick mode prints it): the best
+//     plan's block, at the probes' thread count (the first of --threads),
+//     is at least 2x below the extrapolated monolithic block.
+// Writes BENCH_scale.json (schema slim-bench-scale-v2). Registered with
+// ctest as bench_scale_quick.
 //
 // Flags: --quick, --out FILE (default BENCH_scale.json), --entities N,
 // --threads a,b,..., --plans LxK,LxK,..., --budget_mb M,
-// --spill_run_bytes B. Internal: --child_sctx / --child ... (one builder /
-// measured run; not for direct use).
+// --spill_run_bytes B. Internal: --child_sctx / --child [--mono] ... (one
+// builder / measured run; not for direct use).
 #include <unistd.h>
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -56,28 +69,12 @@ namespace {
 // context build, which the SCTX file exists to amortise away).
 constexpr uint64_t kQuickBudgetBytes = uint64_t{2} << 30;
 constexpr uint64_t kFullBudgetBytes = uint64_t{12} << 30;
+// The scalability gate: the best plan's block must undercut the
+// extrapolated monolithic block by this factor (full mode).
+constexpr double kRssReductionGate = 2.0;
 
-const char* const kStageNames[] = {"histories", "lsh", "scoring", "matching",
-                                   "total"};
-
-double StageOf(const LinkageResult& r, const std::string& stage) {
-  if (stage == "histories") return r.seconds_histories;
-  if (stage == "lsh") return r.seconds_lsh;
-  if (stage == "scoring") return r.seconds_scoring;
-  if (stage == "matching") return r.seconds_matching;
-  return r.seconds_total;
-}
-
-uint64_t RssOf(const LinkageResult& r, const std::string& stage) {
-  if (stage == "histories") return r.rss_peak_histories;
-  if (stage == "lsh") return r.rss_peak_lsh;
-  if (stage == "scoring") return r.rss_peak_scoring;
-  if (stage == "matching") return r.rss_peak_matching;
-  return r.rss_peak_total;
-}
-
-// FNV-1a over the canonical link lines, same convention as bench_sharded:
-// equal hashes across processes mean equal links at bit-level precision.
+// FNV-1a over the canonical link lines: equal hashes across processes mean
+// equal links at 17-decimal (bit-level) precision.
 uint64_t HashLinks(const std::vector<LinkedEntityPair>& links) {
   uint64_t h = 1469598103934665603ull;
   auto mix = [&h](const std::string& s) {
@@ -90,19 +87,6 @@ uint64_t HashLinks(const std::vector<LinkedEntityPair>& links) {
         FormatFixed(link.score, 17) + "\n");
   }
   return h;
-}
-
-std::vector<size_t> ParseSizeList(const std::string& csv) {
-  std::vector<size_t> out;
-  std::stringstream ss(csv);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    const long v = std::strtol(item.c_str(), nullptr, 10);
-    SLIM_CHECK_MSG(v > 0, "list entries must be positive integers");
-    out.push_back(static_cast<size_t>(v));
-  }
-  SLIM_CHECK_MSG(!out.empty(), "empty list flag");
-  return out;
 }
 
 // "LxK,LxK,..." -> per-plan (left_shards, shards) pairs.
@@ -154,13 +138,13 @@ void WriteRunRecord(const LinkageResult& r, uint64_t entities, int threads,
   json.Key("spill_bytes_written").Value(r.spill_bytes_written);
   json.Key("merge_passes").Value(r.merge_passes);
   json.Key("seconds").BeginObject();
-  for (const char* stage : kStageNames) {
-    json.Key(stage).Value(StageOf(r, stage));
+  for (const char* stage : bench::kStageNames) {
+    json.Key(stage).Value(bench::StageOf(r, stage));
   }
   json.EndObject();
   json.Key("peak_rss_bytes").BeginObject();
-  for (const char* stage : kStageNames) {
-    json.Key(stage).Value(RssOf(r, stage));
+  for (const char* stage : bench::kStageNames) {
+    json.Key(stage).Value(bench::RssOf(r, stage));
   }
   json.EndObject();
   json.EndObject();
@@ -213,7 +197,8 @@ int ChildMain(const std::string& sctx_path, int threads, int left_shards,
   return 0;
 }
 
-// ---- Monolithic reference child (quick mode's bit-identity anchor). ----
+// ---- Monolithic child: the in-heap driver, for the probes and quick
+// mode's bit-identity reference. ----
 
 int MonoChildMain(const std::string& path_a, const std::string& path_b,
                   int threads, const std::string& out_json) {
@@ -241,7 +226,20 @@ struct MeasuredRun {
   uint64_t spilled_edges = 0;
   bool spill_on_disk = false;
   uint64_t peak_rss = 0;
+  uint64_t block_bytes = 0;
 };
+
+// The candidate + scoring footprint of a run (see the file comment); at
+// least 1, so the extrapolation and the reduction ratio stay finite.
+uint64_t BlockBytes(const bench::PipelineRunRecord& run) {
+  double histories = 0.0, scoring = 0.0;
+  for (const auto& [name, v] : run.peak_rss_bytes) {
+    if (name == "histories") histories = v;
+    if (name == "scoring") scoring = v;
+  }
+  const double delta = scoring - histories;
+  return delta > 1.0 ? static_cast<uint64_t>(delta) : 1;
+}
 
 MeasuredRun ReadRunRecord(const std::filesystem::path& path) {
   std::ifstream in(path);
@@ -261,13 +259,13 @@ MeasuredRun ReadRunRecord(const std::filesystem::path& path) {
   for (const auto& [name, v] : run.record.peak_rss_bytes) {
     if (name == "total") run.peak_rss = static_cast<uint64_t>(v);
   }
+  run.block_bytes = BlockBytes(run.record);
   return run;
 }
 
-int RunCommand(const std::string& cmd) {
+void RunCommand(const std::string& cmd) {
   const int rc = std::system(cmd.c_str());
   SLIM_CHECK_MSG(rc == 0, "child run failed");
-  return rc;
 }
 
 void EmitRun(bench::JsonWriter* json, const MeasuredRun& run) {
@@ -283,6 +281,7 @@ void EmitRun(bench::JsonWriter* json, const MeasuredRun& run) {
   json->Key("spill_on_disk").Value(run.spill_on_disk);
   json->Key("spill_bytes_written").Value(run.record.spill_bytes_written);
   json->Key("merge_passes").Value(run.record.merge_passes);
+  json->Key("block_bytes").Value(run.block_bytes);
   json->Key("seconds").BeginObject();
   for (const auto& [name, v] : run.record.seconds) {
     json->Key(name).Value(v);
@@ -294,6 +293,25 @@ void EmitRun(bench::JsonWriter* json, const MeasuredRun& run) {
   }
   json->EndObject();
   json->EndObject();
+}
+
+// Samples one linked pair of `entities` per side from `master` and writes
+// both sides as SBIN under `tmp_dir`; returns their paths.
+std::pair<std::string, std::string> WriteSides(
+    const LocationDataset& master, size_t entities,
+    const std::filesystem::path& tmp_dir, const std::string& tag) {
+  PairSampleOptions sampling;
+  sampling.entities_per_side = entities;
+  sampling.intersection_ratio = 0.5;
+  sampling.inclusion_probability = 0.5;
+  sampling.seed = 2302;
+  auto sample = SampleLinkedPair(master, sampling);
+  SLIM_CHECK_MSG(sample.ok(), sample.status().ToString().c_str());
+  const std::string a = (tmp_dir / (tag + "_a.sbin")).string();
+  const std::string b = (tmp_dir / (tag + "_b.sbin")).string();
+  SLIM_CHECK(WriteDataset(sample->a, a, DatasetFormat::kSbin).ok());
+  SLIM_CHECK(WriteDataset(sample->b, b, DatasetFormat::kSbin).ok());
+  return {a, b};
 }
 
 int Main(int argc, char** argv) {
@@ -383,7 +401,7 @@ int Main(int argc, char** argv) {
             : std::vector<size_t>{std::max(
                   1u, std::thread::hardware_concurrency())};
   std::vector<std::pair<int, int>> plans =
-      quick ? std::vector<std::pair<int, int>>{{1, 1}, {2, 4}, {4, 16}}
+      quick ? std::vector<std::pair<int, int>>{{1, 1}, {1, 7}, {2, 4}, {4, 16}}
             : std::vector<std::pair<int, int>>{{4, 16}};
   if (!plans_flag.empty()) plans = ParsePlanList(plans_flag);
   if (budget_bytes == 0) {
@@ -392,18 +410,23 @@ int Main(int argc, char** argv) {
   if (spill_run_bytes == 0) {
     spill_run_bytes = quick ? uint64_t{64} << 10 : uint64_t{64} << 20;
   }
-  if (!entities_flag.empty()) target = ParseSizeList(entities_flag).front();
-  if (!threads_flag.empty()) thread_counts = ParseSizeList(threads_flag);
+  if (!entities_flag.empty()) {
+    target = bench::ParseSizeList(entities_flag).front();
+  }
+  if (!threads_flag.empty()) thread_counts = bench::ParseSizeList(threads_flag);
+  const std::vector<size_t> probes = {target / 8, target / 4};
+  const size_t probe_threads = thread_counts.front();
 
   std::printf("==================================================\n");
   std::printf("scale bench — mmap SCTX + L x K sharding + external matcher\n");
   std::printf("workload: SM-style check-ins; target %zu entities/side; "
-              "plans:", target);
+              "monolithic probes: %zu %zu; plans:",
+              target, probes[0], probes[1]);
   for (const auto& [l, k] : plans) std::printf(" %dx%d", l, k);
   std::printf("; threads:");
   for (size_t t : thread_counts) std::printf(" %zu", t);
   std::printf("\nmemory budget: %llu MB per measured run; spill run "
-              "buffer: %llu bytes%s\n",
+              "buffer: %llu bytes%s; every run is a fresh process\n",
               static_cast<unsigned long long>(budget_bytes >> 20),
               static_cast<unsigned long long>(spill_run_bytes),
               quick ? " (quick)" : "");
@@ -418,26 +441,83 @@ int Main(int argc, char** argv) {
   SLIM_CHECK_MSG(!ec, "cannot create bench temp dir");
 
   // Workload: the sm1m preset shape (2x-target master, both sides sampled
-  // from it) at whatever scale was requested.
+  // from it) at whatever scale was requested; the probes are the same
+  // workload, only smaller.
   CheckinGeneratorOptions gen;
   gen.num_users = static_cast<int>(target * 2);
   gen.seed = 2301;
   std::printf("generating %d-user master...\n", gen.num_users);
   const LocationDataset master = GenerateCheckinDataset(gen);
-  PairSampleOptions sampling;
-  sampling.entities_per_side = target;
-  sampling.intersection_ratio = 0.5;
-  sampling.inclusion_probability = 0.5;
-  sampling.seed = 2302;
-  auto sample = SampleLinkedPair(master, sampling);
-  SLIM_CHECK_MSG(sample.ok(), sample.status().ToString().c_str());
-  const std::string path_a = (tmp_dir / "a.sbin").string();
-  const std::string path_b = (tmp_dir / "b.sbin").string();
-  SLIM_CHECK(WriteDataset(sample->a, path_a, DatasetFormat::kSbin).ok());
-  SLIM_CHECK(WriteDataset(sample->b, path_b, DatasetFormat::kSbin).ok());
+  const auto [path_a, path_b] = WriteSides(master, target, tmp_dir, "target");
+
+  const std::string self = argv[0];
+  int ordinal = 0;
+  // Runs one child with `args` and reads its record back.
+  auto run_child = [&](const std::string& args) {
+    const std::filesystem::path out =
+        tmp_dir / ("child_" + std::to_string(ordinal++) + ".json");
+    RunCommand("\"" + self + "\" --child " + args + " --out \"" +
+               out.string() + "\"");
+    return ReadRunRecord(out);
+  };
+  auto mono_args = [](const std::string& a, const std::string& b,
+                      size_t threads) {
+    return "--mono --a \"" + a + "\" --b \"" + b + "\" --threads " +
+           std::to_string(threads);
+  };
+  TablePrinter table({"run", "entities", "threads", "scoring_s",
+                      "matching_s", "total_s", "merges", "spill_mb",
+                      "block_mb", "peak_mb", "links"});
+  auto add_row = [&](const std::string& name, const MeasuredRun& run) {
+    table.AddRow(
+        {name, std::to_string(run.record.entities),
+         std::to_string(run.record.threads),
+         Fmt(run.record.StageSeconds("scoring"), 3),
+         Fmt(run.record.StageSeconds("matching"), 3),
+         Fmt(run.record.StageSeconds("total"), 3),
+         std::to_string(run.record.merge_passes),
+         Fmt(static_cast<double>(run.record.spill_bytes_written) / (1 << 20),
+             1),
+         Fmt(static_cast<double>(run.block_bytes) / (1 << 20), 1),
+         Fmt(static_cast<double>(run.peak_rss) / (1 << 20), 1),
+         std::to_string(run.links)});
+  };
+
+  // Monolithic probes, and the power-law extrapolation of their block to
+  // the target: block(n) = c * n^e through the two probes, the exponent
+  // clamped to [1, 3] (the footprint cannot grow sublinearly in the right
+  // store, and nothing in the pipeline is worse than the quadratic cross
+  // product).
+  std::vector<MeasuredRun> probe_runs;
+  for (const size_t p : probes) {
+    const std::string tag = "probe" + std::to_string(p);
+    const auto [a, b] = WriteSides(master, p, tmp_dir, tag);
+    std::printf("probe: monolithic at %zu entities/side, %zu thread(s)...\n",
+                p, probe_threads);
+    probe_runs.push_back(run_child(mono_args(a, b, probe_threads)));
+    add_row("probe", probe_runs.back());
+  }
+  const MeasuredRun& p1 = probe_runs[0];
+  const MeasuredRun& p2 = probe_runs[1];
+  double exponent = 1.0;
+  if (p2.block_bytes > p1.block_bytes &&
+      p2.record.entities > p1.record.entities) {
+    exponent = std::log(static_cast<double>(p2.block_bytes) /
+                        static_cast<double>(p1.block_bytes)) /
+               std::log(static_cast<double>(p2.record.entities) /
+                        static_cast<double>(p1.record.entities));
+  }
+  exponent = std::min(3.0, std::max(1.0, exponent));
+  const double extrapolated_block =
+      static_cast<double>(p2.block_bytes) *
+      std::pow(static_cast<double>(target) /
+                   static_cast<double>(p2.record.entities),
+               exponent);
+  std::printf("extrapolated monolithic block at %zu entities: %.1f MB "
+              "(exponent %.2f)\n",
+              target, extrapolated_block / (1 << 20), exponent);
 
   // Builder child: one intern + serialize, outside every measured run.
-  const std::string self = argv[0];
   const std::string sctx_file = (tmp_dir / "context.sctx").string();
   std::printf("building + serializing the SCTX context...\n");
   RunCommand("\"" + self + "\" --child_sctx --a \"" + path_a + "\" --b \"" +
@@ -448,33 +528,15 @@ int Main(int argc, char** argv) {
               static_cast<double>(sctx_bytes) / (1 << 20));
 
   // Measured plan matrix.
-  int ordinal = 0;
-  TablePrinter table({"plan", "threads", "scoring_s", "matching_s",
-                      "total_s", "merges", "spill_mb", "peak_mb", "links"});
-  auto add_row = [&](const std::string& plan, const MeasuredRun& run) {
-    table.AddRow(
-        {plan, std::to_string(run.record.threads),
-         Fmt(run.record.StageSeconds("scoring"), 3),
-         Fmt(run.record.StageSeconds("matching"), 3),
-         Fmt(run.record.StageSeconds("total"), 3),
-         std::to_string(run.record.merge_passes),
-         Fmt(static_cast<double>(run.record.spill_bytes_written) / (1 << 20),
-             1),
-         Fmt(static_cast<double>(run.peak_rss) / (1 << 20), 1),
-         std::to_string(run.links)});
-  };
   std::vector<MeasuredRun> runs;
   for (const auto& [l, k] : plans) {
     for (const size_t t : thread_counts) {
       std::printf("measured: plan %dx%d, %zu thread(s)...\n", l, k, t);
-      const std::filesystem::path out =
-          tmp_dir / ("child_" + std::to_string(ordinal++) + ".json");
-      RunCommand("\"" + self + "\" --child --sctx \"" + sctx_file +
-                 "\" --threads " + std::to_string(t) + " --left_shards " +
-                 std::to_string(l) + " --shards " + std::to_string(k) +
-                 " --spill_run_bytes " + std::to_string(spill_run_bytes) +
-                 " --out \"" + out.string() + "\"");
-      runs.push_back(ReadRunRecord(out));
+      runs.push_back(run_child(
+          "--sctx \"" + sctx_file + "\" --threads " + std::to_string(t) +
+          " --left_shards " + std::to_string(l) + " --shards " +
+          std::to_string(k) + " --spill_run_bytes " +
+          std::to_string(spill_run_bytes)));
       add_row(std::to_string(l) + "x" + std::to_string(k), runs.back());
     }
   }
@@ -495,12 +557,7 @@ int Main(int argc, char** argv) {
   MeasuredRun mono;
   if (quick) {
     std::printf("reference: monolithic driver...\n");
-    const std::filesystem::path out =
-        tmp_dir / ("child_" + std::to_string(ordinal++) + ".json");
-    RunCommand("\"" + self + "\" --child --mono --a \"" + path_a +
-               "\" --b \"" + path_b + "\" --threads 1 --out \"" +
-               out.string() + "\"");
-    mono = ReadRunRecord(out);
+    mono = run_child(mono_args(path_a, path_b, 1));
     have_mono = true;
     add_row("mono", mono);
     if (mono.links_hash != runs.front().links_hash ||
@@ -528,10 +585,33 @@ int Main(int argc, char** argv) {
     }
   }
 
+  // The reduction: the best plan's block at the probes' thread count
+  // against the extrapolated monolithic block.
+  uint64_t best_block = 0;
+  for (const MeasuredRun& run : runs) {
+    if (static_cast<size_t>(run.record.threads) != probe_threads) continue;
+    if (best_block == 0 || run.block_bytes < best_block) {
+      best_block = run.block_bytes;
+    }
+  }
+  SLIM_CHECK_MSG(best_block > 0, "no plan ran at the probe thread count");
+  const double reduction = extrapolated_block / static_cast<double>(best_block);
+  std::printf("best plan block at %zu thread(s): %.1f MB -> %.2fx below "
+              "the extrapolated monolithic block\n",
+              probe_threads, static_cast<double>(best_block) / (1 << 20),
+              reduction);
+  const bool reduced = quick || reduction >= kRssReductionGate;
+  if (!reduced) {
+    std::fprintf(stderr,
+                 "RSS GATE FAILURE: %.2fx < %.1fx required reduction vs "
+                 "the extrapolated monolithic block\n",
+                 reduction, kRssReductionGate);
+  }
+
   // The machine-readable record.
   bench::JsonWriter json;
   json.BeginObject();
-  json.Key("schema").Value("slim-bench-scale-v1");
+  json.Key("schema").Value("slim-bench-scale-v2");
   json.Key("build").Value(slim::BuildGitDescribe());
   json.Key("workload").Value("checkin");
   json.Key("quick").Value(quick);
@@ -541,6 +621,14 @@ int Main(int argc, char** argv) {
   json.Key("memory_budget_bytes").Value(budget_bytes);
   json.Key("sctx_bytes").Value(sctx_bytes);
   json.Key("deterministic").Value(deterministic);
+  json.Key("monolithic_probes").BeginArray();
+  for (const MeasuredRun& run : probe_runs) EmitRun(&json, run);
+  json.EndArray();
+  json.Key("extrapolated_monolithic").BeginObject();
+  json.Key("entities").Value(static_cast<uint64_t>(target));
+  json.Key("exponent").Value(exponent);
+  json.Key("block_bytes").Value(static_cast<uint64_t>(extrapolated_block));
+  json.EndObject();
   json.Key("runs").BeginArray();
   for (const MeasuredRun& run : runs) EmitRun(&json, run);
   json.EndArray();
@@ -548,6 +636,7 @@ int Main(int argc, char** argv) {
     json.Key("monolithic_reference");
     EmitRun(&json, mono);
   }
+  json.Key("rss_reduction_vs_extrapolated").Value(reduction);
   json.EndObject();
 
   std::ofstream out(out_path);
@@ -561,7 +650,7 @@ int Main(int argc, char** argv) {
               runs.size());
 
   std::filesystem::remove_all(tmp_dir, ec);
-  return deterministic && under_budget ? 0 : 1;
+  return deterministic && under_budget && reduced ? 0 : 1;
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -34,6 +35,42 @@ inline double ParseNumberAt(const std::string& json, size_t pos,
     std::from_chars(json.data() + pos, json.data() + json.size(), value);
   }
   return value;
+}
+
+/// The LinkageResult stages a bench record reports, in stage order.
+inline constexpr const char* kStageNames[] = {"histories", "lsh", "scoring",
+                                              "matching", "total"};
+
+/// Wall seconds of `stage` (one of kStageNames).
+inline double StageOf(const LinkageResult& r, const std::string& stage) {
+  if (stage == "histories") return r.seconds_histories;
+  if (stage == "lsh") return r.seconds_lsh;
+  if (stage == "scoring") return r.seconds_scoring;
+  if (stage == "matching") return r.seconds_matching;
+  return r.seconds_total;
+}
+
+/// Peak process RSS in bytes at the end of `stage` (one of kStageNames).
+inline uint64_t RssOf(const LinkageResult& r, const std::string& stage) {
+  if (stage == "histories") return r.rss_peak_histories;
+  if (stage == "lsh") return r.rss_peak_lsh;
+  if (stage == "scoring") return r.rss_peak_scoring;
+  if (stage == "matching") return r.rss_peak_matching;
+  return r.rss_peak_total;
+}
+
+/// "a,b,..." -> positive integers, for the benches' list flags.
+inline std::vector<size_t> ParseSizeList(const std::string& csv) {
+  std::vector<size_t> out;
+  std::stringstream ss(csv);
+  std::string item;
+  while (std::getline(ss, item, ',')) {
+    const long v = std::strtol(item.c_str(), nullptr, 10);
+    SLIM_CHECK_MSG(v > 0, "list entries must be positive integers");
+    out.push_back(static_cast<size_t>(v));
+  }
+  SLIM_CHECK_MSG(!out.empty(), "empty list flag");
+  return out;
 }
 
 /// Prints the standard figure header with the bench scale.
@@ -165,9 +202,9 @@ class JsonWriter {
   bool pending_value_ = false;
 };
 
-/// One (entities, threads) run of the pipeline bench, as read back from a
-/// BENCH_pipeline.json or BENCH_sharded.json; see bench_pipeline.cc /
-/// bench_sharded.cc for the writing sides.
+/// One (entities, threads) run of a bench record, as read back from a
+/// BENCH_pipeline.json document or a bench_scale child record; see
+/// bench_pipeline.cc / bench_scale.cc for the writing sides.
 struct PipelineRunRecord {
   uint64_t entities = 0;
   int threads = 0;
@@ -200,17 +237,19 @@ struct PipelineRunRecord {
 
 /// The key vocabulary of every bench-record schema the repo has shipped
 /// (v1 pipeline seconds, v2 + RSS/distance-cache, v3 + sharding, the
-/// kernel-bench v1 family, the scale-bench v1 family). Keys a reader meets
-/// outside this list signal baseline/schema drift.
+/// kernel-bench v1 family, the scale-bench v1 and v2 families). Keys a
+/// reader meets outside this list signal baseline/schema drift.
 inline bool IsKnownBenchKey(const std::string& key) {
   static const char* const kKnown[] = {
       // Document level.
       "schema", "build", "workload", "quick", "hardware_threads",
       "deterministic",
-      "runs", "monolithic_probes", "extrapolated_monolithic",
-      "rss_reduction_vs_extrapolated", "target_entities", "exponent",
-      // Scale-bench document level (slim-bench-scale-v1, bench_scale.cc).
+      "runs", "target_entities",
+      // Scale-bench document level (slim-bench-scale-v1/v2, bench_scale.cc;
+      // the probe and extrapolation keys are v2).
       "memory_budget_bytes", "sctx_bytes", "monolithic_reference",
+      "monolithic_probes", "extrapolated_monolithic", "exponent",
+      "rss_reduction_vs_extrapolated",
       // Run level.
       "entities", "threads", "shards", "links", "links_hash",
       "candidate_pairs", "possible_pairs", "seconds", "speedup_vs_first",
@@ -327,13 +366,13 @@ inline void WarnUnknownBenchKeys(const std::string& json) {
   }
 }
 
-/// Extracts the runs of a BENCH_pipeline.json / BENCH_sharded.json document
-/// (schema v1, v2, or v3). Not a general JSON parser: it scans for the
-/// known keys in the order the benches emit them ("entities", then
-/// "threads", then — v3 only — "shards", then the "seconds" object,
-/// then — v2+ — the "peak_rss_bytes" object), which is also resilient to
-/// hand-edited whitespace. Unknown keys are skipped (and logged once, see
-/// WarnUnknownBenchKeys).
+/// Extracts the runs of a BENCH_pipeline.json document (schema v1, v2, or
+/// v3) or of a bench_scale child record. Not a general JSON parser: it
+/// scans for the known keys in the order the benches emit them
+/// ("entities", then "threads", then — v3 only — "shards", then the
+/// "seconds" object, then — v2+ — the "peak_rss_bytes" object), which is
+/// also resilient to hand-edited whitespace. Unknown keys are skipped (and
+/// logged once, see WarnUnknownBenchKeys).
 inline std::vector<PipelineRunRecord> ParsePipelineRuns(
     const std::string& json) {
   WarnUnknownBenchKeys(json);

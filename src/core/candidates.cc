@@ -281,9 +281,9 @@ class GridBlockingCandidates final : public CandidateGenerator {
             list.erase(std::unique(list.begin(), list.end()), list.end());
             if (min_overlap > 1) {
               std::erase_if(list, [&](EntityIdx v) {
-                return QuantizedOverlap(se.bins(u), se.quantized_counts(u),
-                                        si.bins(v), si.quantized_counts(v),
-                                        &match_a, &match_b) < min_overlap;
+                return OverlapMass(se.bins(u), se.counts(u), si.bins(v),
+                                   si.counts(v), &match_a,
+                                   &match_b) < min_overlap;
               });
             }
           }

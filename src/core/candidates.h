@@ -68,11 +68,10 @@ struct GridBlockingConfig {
   /// degenerating to the cross product). 0 disables the cap.
   uint32_t max_bin_entities = 0;
 
-  /// Drops candidate pairs whose quantized co-visit mass — sum over shared
-  /// bins of min(saturated u16 record counts, see
-  /// HistoryStore::quantized_counts) — is below this value. Integer-exact,
-  /// so the filter is kernel- and shard-invariant. 0 (the default) keeps
-  /// every co-visiting pair: any shared bin has mass >= 1.
+  /// Drops candidate pairs whose co-visit mass — sum over shared bins of
+  /// the smaller record count (core/score_kernel.h::OverlapMass) — is below
+  /// this value. Integer-exact, so the filter is shard-invariant. 0 (the
+  /// default) keeps every co-visiting pair: any shared bin has mass >= 1.
   uint32_t min_overlap_records = 0;
 };
 

@@ -71,8 +71,9 @@ struct EpochResult {
 
 class IncrementalLinker {
  public:
-  /// Validates the config like SlimLinker does (CHECK on invalid
-  /// geometry) and forces keep_graph on. Starts at epoch 0 with an empty
+  /// CHECKs ValidateSlimConfig (core/slim.h) like SlimLinker does, so a
+  /// bad config fails here rather than at the first epoch, and forces
+  /// keep_graph on. Starts at epoch 0 with an empty
   /// context.
   explicit IncrementalLinker(SlimConfig config);
 

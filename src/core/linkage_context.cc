@@ -6,7 +6,6 @@
 
 #include "common/check.h"
 #include "common/parallel.h"
-#include "core/score_kernel.h"
 
 namespace slim {
 namespace {
@@ -167,12 +166,6 @@ void HistoryStoreBuilder::BuildCsr(
       },
       threads);
 
-  // Quantized (saturating u16) copy of the counts for the integer overlap
-  // prefilters — built here so every store has it without a separate pass.
-  std::vector<uint16_t> quantized(total_bins);
-  QuantizeCountsSaturating({bin_counts.data(), bin_counts.size()},
-                           quantized.data());
-
   // Dataset-level statistics: per-bin holder counts (each entity's bins are
   // distinct, so every occurrence is one holder) and the IDF array.
   std::vector<uint32_t> bin_entity_counts(vocab.size(), 0);
@@ -194,7 +187,6 @@ void HistoryStoreBuilder::BuildCsr(
   store->window_offsets_ = std::move(window_offsets);
   store->bin_ids_ = std::move(bin_ids);
   store->bin_counts_ = std::move(bin_counts);
-  store->quantized_counts_ = std::move(quantized);
   store->windows_ = std::move(windows);
   store->window_bin_begin_ = std::move(window_bin_begin);
   store->window_masks_ = std::move(window_masks);

@@ -132,13 +132,6 @@ class HistoryStore {
     return {bin_counts_.data() + bin_offsets_[u],
             bin_counts_.data() + bin_offsets_[u + 1]};
   }
-  /// Saturating u16 quantisation of counts(u) (counts above 65535 clamp),
-  /// precomputed for the integer overlap prefilters of
-  /// core/score_kernel.h::QuantizedOverlap.
-  std::span<const uint16_t> quantized_counts(EntityIdx u) const {
-    return {quantized_counts_.data() + bin_offsets_[u],
-            quantized_counts_.data() + bin_offsets_[u + 1]};
-  }
 
   /// Sorted distinct occupied windows of entity u.
   std::span<const int64_t> windows(EntityIdx u) const {
@@ -227,7 +220,6 @@ class HistoryStore {
   FlatArray<uint32_t> bin_offsets_;
   FlatArray<BinId> bin_ids_;
   FlatArray<uint32_t> bin_counts_;
-  FlatArray<uint16_t> quantized_counts_;  // bin_counts_ saturated to u16
   // CSR over occupied windows: entity u owns windows_ positions
   // [window_offsets_[u], window_offsets_[u+1]); window_bin_begin_ maps each
   // window (plus one global sentinel) to where its bins start in bin_ids_.

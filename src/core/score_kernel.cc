@@ -113,18 +113,12 @@ size_t IntersectSortedU32(const uint32_t* a, size_t na, const uint32_t* b,
   return IntersectSortedImpl(a, na, b, nb, out_a, out_b);
 }
 
-void QuantizeCountsSaturating(std::span<const uint32_t> counts, uint16_t* out) {
-  for (size_t k = 0; k < counts.size(); ++k) {
-    out[k] = QuantizeCountSaturating(counts[k]);
-  }
-}
-
-uint64_t QuantizedOverlap(std::span<const uint32_t> bins_a,
-                          std::span<const uint16_t> counts_a,
-                          std::span<const uint32_t> bins_b,
-                          std::span<const uint16_t> counts_b,
-                          std::vector<uint32_t>* match_a,
-                          std::vector<uint32_t>* match_b) {
+uint64_t OverlapMass(std::span<const uint32_t> bins_a,
+                     std::span<const uint32_t> counts_a,
+                     std::span<const uint32_t> bins_b,
+                     std::span<const uint32_t> counts_b,
+                     std::vector<uint32_t>* match_a,
+                     std::vector<uint32_t>* match_b) {
   SLIM_CHECK(bins_a.size() == counts_a.size() &&
              bins_b.size() == counts_b.size());
   SLIM_CHECK(match_a != nullptr && match_b != nullptr);

@@ -69,27 +69,18 @@ size_t IntersectSortedI64(const int64_t* a, size_t na, const int64_t* b,
 size_t IntersectSortedU32(const uint32_t* a, size_t na, const uint32_t* b,
                           size_t nb, uint32_t* out_a, uint32_t* out_b);
 
-/// Saturating u16 quantisation of a record count (the HistoryStore keeps a
-/// quantized copy of bin_counts for overlap prefilters; 65535 is a
-/// saturation guard, not a wrap).
-inline uint16_t QuantizeCountSaturating(uint32_t count) {
-  return count > 65535u ? uint16_t{65535} : static_cast<uint16_t>(count);
-}
-
-/// Quantizes a whole count span (out must hold counts.size() values).
-void QuantizeCountsSaturating(std::span<const uint32_t> counts, uint16_t* out);
-
-/// Integer overlap mass of two quantized histories:
+/// Co-visit mass of two histories (the grid prefilter of
+/// GridBlockingConfig::min_overlap_records):
 ///   sum over shared bins of min(counts_a, counts_b).
-/// `bins_*` are ascending BinId spans with `counts_*` parallel to them;
-/// `match_a`/`match_b` are caller scratch (resized as needed). Exact in
-/// u64, so shard-invariant.
-uint64_t QuantizedOverlap(std::span<const uint32_t> bins_a,
-                          std::span<const uint16_t> counts_a,
-                          std::span<const uint32_t> bins_b,
-                          std::span<const uint16_t> counts_b,
-                          std::vector<uint32_t>* match_a,
-                          std::vector<uint32_t>* match_b);
+/// `bins_*` are ascending BinId spans with the record counts `counts_*`
+/// parallel to them (HistoryStore::bins / counts); `match_a`/`match_b` are
+/// caller scratch (resized as needed). Exact in u64, so shard-invariant.
+uint64_t OverlapMass(std::span<const uint32_t> bins_a,
+                     std::span<const uint32_t> counts_a,
+                     std::span<const uint32_t> bins_b,
+                     std::span<const uint32_t> counts_b,
+                     std::vector<uint32_t>* match_a,
+                     std::vector<uint32_t>* match_b);
 
 }  // namespace slim
 

@@ -140,7 +140,6 @@ class SctxIo {
       size += Pad8((h.total_windows[s] + 1) * sizeof(uint32_t));
       size += Pad8(h.vocab_size * sizeof(uint32_t));  // holder counts
       size += Pad8(h.total_bins[s] * sizeof(uint32_t)) * 2;  // ids, counts
-      size += Pad8(h.total_bins[s] * sizeof(uint16_t));      // quantized
     }
     h.file_size = size;
 
@@ -186,8 +185,6 @@ class SctxIo {
                   store.bin_entity_counts_.size());
       AppendArray(&w, store.bin_ids_.data(), store.bin_ids_.size());
       AppendArray(&w, store.bin_counts_.data(), store.bin_counts_.size());
-      AppendArray(&w, store.quantized_counts_.data(),
-                  store.quantized_counts_.size());
     }
     return w.Finish(path);
   }
@@ -286,8 +283,6 @@ class SctxIo {
           FlatArray<uint32_t>::View(c.Take<uint32_t>(vocab), vocab);
       store.bin_ids_ = FlatArray<BinId>::View(c.Take<BinId>(tb), tb);
       store.bin_counts_ = FlatArray<uint32_t>::View(c.Take<uint32_t>(tb), tb);
-      store.quantized_counts_ =
-          FlatArray<uint16_t>::View(c.Take<uint16_t>(tb), tb);
       if (!c.ok) {
         return Status::IoError("SCTX truncated (store arrays): " + path);
       }

@@ -1,8 +1,8 @@
-// SCTX v1: the serialized on-disk form of a dense LinkageContext.
+// SCTX v2: the serialized on-disk form of a dense LinkageContext.
 //
 // SBIN (data/sbin.h) makes *datasets* binary; SCTX does the same for the
 // built context — the bin vocabulary plus both CSR history stores
-// (offsets, bin ids, counts, quantized counts, window index, 512-bit
+// (offsets, bin ids, counts, window index, 512-bit
 // window masks, per-bin holder counts, and the IDF array as raw IEEE-754
 // bit patterns, so a loaded context scores bit-identically to the in-heap
 // one). The file is written once after the context build (FileWriter,
@@ -40,8 +40,9 @@
 
 namespace slim {
 
-/// The SCTX format version this build reads and writes.
-inline constexpr uint32_t kSctxVersion = 1;
+/// The SCTX format version this build reads and writes. v2 dropped v1's
+/// u16 copy of the bin counts; a v1 file fails with the version-skew error.
+inline constexpr uint32_t kSctxVersion = 2;
 
 /// Serializes `context` to `path` (overwrites). The context may use any
 /// backing (an owned build or a previously mapped file).

@@ -11,8 +11,8 @@ namespace {
 
 // How much bigger than the shard's resident store bytes the block working
 // set (candidate CSR, postings/buckets, per-block edges) is assumed to be.
-// Chosen from the measured bench_sharded curves; deliberately conservative
-// so a budget is an upper bound, not a target.
+// Chosen from the block curves bench_scale measures; deliberately
+// conservative so a budget is an upper bound, not a target.
 constexpr uint64_t kBlockExpansionFactor = 4;
 
 // Structural floor below which no per-entity estimate may fall: one

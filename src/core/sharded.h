@@ -32,9 +32,8 @@
 // the same canonical edge orders, the links are bit-identical at every
 // (L, K, threads) combination; tests/test_sharded.cc pins this against the
 // committed goldens. Peak RSS of the candidate + scoring stages scales
-// with the largest block, not the stores — bench_sharded and bench_scale
-// measure the curves. The default plan is 1 x 1: one block, spill in
-// memory.
+// with the largest block, not the stores — bench_scale measures the
+// curves. The default plan is 1 x 1: one block, spill in memory.
 //
 // K comes from SlimConfig::shards, or — when that is 0 — from
 // SlimConfig::shard_memory_budget_bytes via EstimateShardPlan's

@@ -10,6 +10,7 @@
 #include "common/check.h"
 #include "common/parallel.h"
 #include "common/resource.h"
+#include "common/strings.h"
 #include "core/edge_spill.h"
 #include "core/sctx.h"
 #include "core/sharded.h"
@@ -224,16 +225,40 @@ Result<LinkageResult> LinkBlocks(const SlimConfig& config, int threads,
 
 }  // namespace
 
+Status ValidateSlimConfig(const SlimConfig& config) {
+  const int level = config.history.spatial_level;
+  if (config.history.window_seconds <= 0) {
+    return Status::InvalidArgument("window width must be positive");
+  }
+  if (level < 0 || level > CellId::kMaxLevel) {
+    return Status::InvalidArgument(
+        StrFormat("spatial level must be in [0, %d]", CellId::kMaxLevel));
+  }
+  // Negated so NaN fails too.
+  if (!(config.similarity.b >= 0.0 && config.similarity.b <= 1.0)) {
+    return Status::InvalidArgument("b must be in [0, 1]");
+  }
+  if (config.candidates != CandidateKind::kLsh) return Status::Ok();
+  const LshConfig& lsh = config.lsh;
+  if (lsh.signature_spatial_level < 0 || lsh.signature_spatial_level > level) {
+    return Status::InvalidArgument(StrFormat(
+        "LSH signature level must be in [0, %d] (the spatial level)", level));
+  }
+  if (lsh.temporal_step_windows < 1) {
+    return Status::InvalidArgument("LSH step must be >= 1 window");
+  }
+  if (!(lsh.similarity_threshold > 0.0 && lsh.similarity_threshold < 1.0)) {
+    return Status::InvalidArgument("LSH threshold must be in (0, 1)");
+  }
+  if (lsh.num_buckets < 1) {
+    return Status::InvalidArgument("LSH buckets must be >= 1");
+  }
+  return Status::Ok();
+}
+
 SlimLinker::SlimLinker(SlimConfig config) : config_(std::move(config)) {
-  SLIM_CHECK_MSG(config_.history.window_seconds > 0,
-                 "window width must be positive");
-  SLIM_CHECK_MSG(config_.history.spatial_level >= 0 &&
-                     config_.history.spatial_level <= CellId::kMaxLevel,
-                 "invalid spatial level");
-  SLIM_CHECK_MSG(config_.candidates != CandidateKind::kLsh ||
-                     config_.lsh.signature_spatial_level <=
-                         config_.history.spatial_level,
-                 "LSH signature level must not exceed the history leaf level");
+  const Status valid = ValidateSlimConfig(config_);
+  SLIM_CHECK_MSG(valid.ok(), valid.message().c_str());
 }
 
 Result<LinkageResult> SlimLinker::Link(const LocationDataset& dataset_e,

@@ -192,10 +192,20 @@ struct LinkageResult {
   int merge_passes = 0;
 };
 
+/// InvalidArgument naming the first field of `config` the linkage path
+/// cannot run with: a non-positive window, a spatial level outside
+/// [0, CellId::kMaxLevel], b outside [0, 1] (NaN included), or — for LSH
+/// candidates — a signature level outside [0, spatial level], a step
+/// below 1, a threshold outside (0, 1), or zero buckets. OK otherwise.
+/// SlimLinker CHECKs it on construction; tools call it first to turn a bad
+/// flag into an error message.
+Status ValidateSlimConfig(const SlimConfig& config);
+
 /// The SLIM linkage algorithm (Alg. 1). Construct once per configuration and
 /// call Link(); the linker is stateless across calls.
 class SlimLinker {
  public:
+  /// CHECKs ValidateSlimConfig(config).
   explicit SlimLinker(SlimConfig config);
 
   const SlimConfig& config() const { return config_; }

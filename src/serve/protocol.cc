@@ -1,8 +1,10 @@
 #include "serve/protocol.h"
 
+#include <cmath>
 #include <string>
 
 #include "common/strings.h"
+#include "data/dataset_io.h"
 
 namespace slim {
 namespace {
@@ -53,10 +55,15 @@ Result<ServeCommand> ParseServeCommand(std::string_view line) {
       if (!entity.ok() || !lat.ok() || !lng.ok() || !timestamp.ok()) {
         return BadArgument("INGEST record fields must be numeric");
       }
-      if (*lat < -90.0 || *lat > 90.0 || *lng < -180.0 || *lng > 180.0) {
-        return BadArgument("INGEST coordinates out of range");
+      // The file readers' check (csv.cc, sbin.cc): NaN passes every
+      // comparison, so a range test alone would let it reach the cell ids.
+      if (!RawCoordinateInRange(*lat, *lng)) {
+        return BadArgument(std::isfinite(*lat) && std::isfinite(*lng)
+                               ? "INGEST coordinates out of range"
+                               : "INGEST coordinates must be finite");
       }
-      cmd.records.push_back({*entity, {*lat, *lng}, *timestamp});
+      const LatLng location = LatLng{*lat, *lng}.Normalized();
+      cmd.records.push_back({*entity, location, *timestamp});
     }
     return cmd;
   }

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <span>
 #include <vector>
 
@@ -182,6 +183,58 @@ TEST(GridBlockingCandidatesTest, SharedBinImpliesCandidacy) {
   // And it must actually block: fewer pairs than the cross product.
   EXPECT_LT(listed,
             static_cast<uint64_t>(ctx.store_e.size()) * ctx.store_i.size());
+}
+
+TEST(GridBlockingCandidatesTest, MinOverlapKeepsExactlyThePairsWithEnoughMass) {
+  // Reference: each entity's history as a std::map from BinId to record
+  // count; a pair's co-visit mass is the sum over shared bins of the
+  // smaller count, and the filter keeps the pair iff that mass is >= m.
+  const SampledPair pair = MakeSampledPair(5);
+  const LinkageContext ctx = LinkageContext::Build(pair.a, pair.b, HConfig());
+  const auto histories = [](const HistoryStore& store) {
+    std::vector<std::map<BinId, uint32_t>> out(store.size());
+    for (EntityIdx u = 0; u < store.size(); ++u) {
+      const auto bins = store.bins(u);
+      const auto counts = store.counts(u);
+      for (size_t k = 0; k < bins.size(); ++k) out[u][bins[k]] = counts[k];
+    }
+    return out;
+  };
+  const auto left = histories(ctx.store_e);
+  const auto right = histories(ctx.store_i);
+  const auto mass = [](const std::map<BinId, uint32_t>& a,
+                       const std::map<BinId, uint32_t>& b) {
+    uint64_t sum = 0;
+    for (const auto& [bin, count] : a) {
+      const auto it = b.find(bin);
+      if (it != b.end()) sum += std::min(count, it->second);
+    }
+    return sum;
+  };
+
+  std::vector<uint64_t> kept;
+  for (const uint32_t m : {1u, 2u, 5u}) {
+    GridBlockingConfig grid;
+    grid.min_overlap_records = m;
+    const auto gen =
+        MakeCandidateGenerator(CandidateKind::kGrid, ctx, LshConfig{}, grid);
+    uint64_t total = 0;
+    for (EntityIdx u = 0; u < ctx.store_e.size(); ++u) {
+      std::vector<EntityIdx> expected;
+      for (EntityIdx v = 0; v < ctx.store_i.size(); ++v) {
+        if (mass(left[u], right[v]) >= m) expected.push_back(v);
+      }
+      EXPECT_EQ(ToVector(gen->CandidatesFor(u)), expected)
+          << "entity idx " << u << ", m " << m;
+      total += expected.size();
+    }
+    EXPECT_EQ(gen->total_candidate_pairs(), total) << m;
+    kept.push_back(total);
+  }
+  // Each floor must bite on this workload, or the test proves nothing.
+  EXPECT_GT(kept[0], kept[1]);
+  EXPECT_GT(kept[1], kept[2]);
+  EXPECT_GT(kept[2], 0u);
 }
 
 TEST(GridBlockingCandidatesTest, DisjointPlacesProduceNoCandidates) {

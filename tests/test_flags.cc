@@ -95,6 +95,27 @@ TEST(LinkageFlags, NoFlagsGiveTheLibraryDefaults) {
   EXPECT_EQ(parsed.threads, defaults.threads);
 }
 
+TEST(LinkageFlags, IntegersOutsideTheirFieldTypeExit) {
+  // Once read as 12 (int narrowing) and as SIZE_MAX (unsigned wrap).
+  EXPECT_EXIT((void)ParseLinkageFlags(Make({"--spatial_level", "4294967308"})),
+              ::testing::ExitedWithCode(2), "--spatial_level must be in");
+  EXPECT_EXIT((void)ParseLinkageFlags(Make({"--lsh_buckets", "-1"})),
+              ::testing::ExitedWithCode(2), "--lsh_buckets must be in");
+  const Flags grid = Make({"--grid_max_bin=-1"});
+  EXPECT_EXIT((void)grid.GetIntAs<uint32_t>("grid_max_bin", 0),
+              ::testing::ExitedWithCode(2), "--grid_max_bin must be in");
+}
+
+TEST(LinkageFlags, InRangeIntegersParseAsBefore) {
+  const Flags flags = Make({"--spatial_level", "14", "--lsh_buckets", "8",
+                            "--lsh_step=3", "--threads", "-1"});
+  const SlimConfig parsed = ParseLinkageFlags(flags);
+  EXPECT_EQ(parsed.history.spatial_level, 14);
+  EXPECT_EQ(parsed.lsh.num_buckets, 8u);
+  EXPECT_EQ(parsed.lsh.temporal_step_windows, 3);
+  EXPECT_EQ(parsed.threads, -1);
+}
+
 TEST(LinkageFlags, ThresholdNoneDisablesTheStopThreshold) {
   EXPECT_FALSE(
       ParseLinkageFlags(Make({"--threshold", "none"})).apply_stop_threshold);

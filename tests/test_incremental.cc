@@ -377,5 +377,13 @@ TEST(Incremental, EpochDeltasReconcile) {
   EXPECT_EQ(reconstructed, second->linkage.links);
 }
 
+TEST(IncrementalLinkerDeathTest, InvalidConfigDiesAtConstruction) {
+  // Not at the first LinkEpoch: a daemon must refuse the config before it
+  // acknowledges any INGEST.
+  SlimConfig config = MakeConfig(CandidateKind::kLsh, 1);
+  config.similarity.b = 1.5;
+  EXPECT_DEATH(IncrementalLinker{config}, "b must be in");
+}
+
 }  // namespace
 }  // namespace slim

@@ -239,43 +239,35 @@ TEST(ScoreKernelIntersect, GallopHeuristicDispatchIsOutputInvariant) {
 }
 
 // ---------------------------------------------------------------------------
-// Quantized counts.
+// Co-visit overlap mass.
 // ---------------------------------------------------------------------------
 
-TEST(ScoreKernelQuantize, SaturatesAtU16Boundary) {
-  EXPECT_EQ(QuantizeCountSaturating(0), 0);
-  EXPECT_EQ(QuantizeCountSaturating(1), 1);
-  EXPECT_EQ(QuantizeCountSaturating(65534), 65534);
-  EXPECT_EQ(QuantizeCountSaturating(65535), 65535);
-  EXPECT_EQ(QuantizeCountSaturating(65536), 65535);  // guard: clamp, no wrap
-  EXPECT_EQ(QuantizeCountSaturating(1u << 31), 65535);
-  EXPECT_EQ(QuantizeCountSaturating(std::numeric_limits<uint32_t>::max()),
-            65535);
-
-  const std::vector<uint32_t> counts = {0, 5, 65535, 65536, 4000000000u};
-  std::vector<uint16_t> q(counts.size());
-  QuantizeCountsSaturating(counts, q.data());
-  EXPECT_EQ(q, (std::vector<uint16_t>{0, 5, 65535, 65535, 65535}));
+TEST(ScoreKernelOverlap, SumsMinCountsOverSharedBins) {
+  const std::vector<uint32_t> bins_a = {2, 5, 9, 14};
+  const std::vector<uint32_t> counts_a = {3, 10, 1, 70000};
+  const std::vector<uint32_t> bins_b = {1, 5, 9, 14, 20};
+  const std::vector<uint32_t> counts_b = {8, 4, 7, 4000000000u, 2};
+  // Shared: bin 5 (min 4), bin 9 (min 1), bin 14 (min 70000 — a count
+  // past u16 counts in full).
+  std::vector<uint32_t> scratch_a, scratch_b;
+  EXPECT_EQ(OverlapMass(bins_a, counts_a, bins_b, counts_b, &scratch_a,
+                        &scratch_b),
+            4u + 1u + 70000u);
+  // No shared bins -> 0; empty side -> 0.
+  EXPECT_EQ(OverlapMass(bins_a, counts_a, {}, {}, &scratch_a, &scratch_b),
+            0u);
+  EXPECT_EQ(OverlapMass(std::vector<uint32_t>{1}, std::vector<uint32_t>{9},
+                        std::vector<uint32_t>{2}, std::vector<uint32_t>{9},
+                        &scratch_a, &scratch_b),
+            0u);
 }
 
-TEST(ScoreKernelQuantize, OverlapSumsMinCountsOverSharedBins) {
-  const std::vector<uint32_t> bins_a = {2, 5, 9, 14};
-  const std::vector<uint16_t> counts_a = {3, 10, 1, 65535};
-  const std::vector<uint32_t> bins_b = {1, 5, 9, 14, 20};
-  const std::vector<uint16_t> counts_b = {8, 4, 7, 65535, 2};
-  // Shared: bin 5 (min 4), bin 9 (min 1), bin 14 (min 65535 — saturated on
-  // both sides stays exact in the u64 sum).
+TEST(ScoreKernelOverlap, SumIsExactPastU32) {
+  const std::vector<uint32_t> bins = {3, 4};
+  const std::vector<uint32_t> counts = {4000000000u, 4000000000u};
   std::vector<uint32_t> scratch_a, scratch_b;
-  EXPECT_EQ(QuantizedOverlap(bins_a, counts_a, bins_b, counts_b, &scratch_a,
-                             &scratch_b),
-            4u + 1u + 65535u);
-  // No shared bins -> 0; empty side -> 0.
-  EXPECT_EQ(QuantizedOverlap(bins_a, counts_a, {}, {}, &scratch_a, &scratch_b),
-            0u);
-  EXPECT_EQ(QuantizedOverlap(std::vector<uint32_t>{1}, std::vector<uint16_t>{9},
-                             std::vector<uint32_t>{2}, std::vector<uint16_t>{9},
-                             &scratch_a, &scratch_b),
-            0u);
+  EXPECT_EQ(OverlapMass(bins, counts, bins, counts, &scratch_a, &scratch_b),
+            uint64_t{8000000000});
 }
 
 // ---------------------------------------------------------------------------

@@ -92,6 +92,22 @@ TEST(ServeProtocol, RejectsMalformedCommands) {
   }
 }
 
+TEST(ServeProtocol, RejectsNonFiniteCoordinates) {
+  // from_chars reads these spellings as NaN, which passes every range
+  // comparison; each must be refused before it reaches the cell ids.
+  for (const char* nan : {"nan", "-nan", "NaN"}) {
+    for (const bool in_lat : {true, false}) {
+      const std::string line =
+          in_lat ? "INGEST A 1 " + std::string(nan) + " 0 100"
+                 : "INGEST A 1 0 " + std::string(nan) + " 100";
+      auto cmd = ParseServeCommand(line);
+      ASSERT_FALSE(cmd.ok()) << line;
+      EXPECT_EQ(cmd.status().message().rfind("bad-argument", 0), 0u)
+          << line << " -> " << cmd.status().message();
+    }
+  }
+}
+
 TEST(ServeProtocol, RejectsOversizedLine) {
   const std::string line = "TOPK " + std::string(kMaxProtocolLineBytes, '1');
   auto cmd = ParseServeCommand(line);
@@ -164,6 +180,21 @@ TEST(ServeService, MalformedAndOversizedExecuteAsErrors) {
   // Errors never wedge the session.
   r = service.Execute("STATS");
   EXPECT_EQ(r.line.rfind("OK epoch=0 ", 0), 0u) << r.line;
+}
+
+TEST(ServeService, NanIngestIsAnErrorAndTheSessionLivesOn) {
+  LinkageService service(ServeTestConfig());
+  ServeReply r = service.Execute("INGEST A 1 nan 0 100");
+  EXPECT_EQ(r.line.rfind("ERR bad-argument ", 0), 0u) << r.line;
+  r = service.Execute("INGEST B 9 0 nan 100");
+  EXPECT_EQ(r.line.rfind("ERR bad-argument ", 0), 0u) << r.line;
+  r = service.Execute(kIngestA);
+  EXPECT_EQ(r.line.rfind("OK ingested=6 ", 0), 0u) << r.line;
+  r = service.Execute(kIngestB);
+  EXPECT_EQ(r.line.rfind("OK ingested=6 ", 0), 0u) << r.line;
+  r = service.Execute("LINK");
+  EXPECT_EQ(r.line.rfind("OK epoch=1 ", 0), 0u) << r.line;
+  EXPECT_NE(r.line.find(" links=1 "), std::string::npos) << r.line;
 }
 
 TEST(ServeService, SaveFailsWithIoErrorOnBadPath) {

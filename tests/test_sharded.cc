@@ -290,14 +290,29 @@ TEST(EdgeSpill, TruncatedSpillSurfacesAsIoErrorNotACrash) {
 
 // ---- Shard-restricted candidate generation. ----
 
-class ShardCandidates : public ::testing::TestWithParam<CandidateKind> {};
+// One generator kind plus the grid's co-visit floor, so the restriction
+// property is checked with the min_overlap_records filter on as well.
+struct ShardCandidatesCase {
+  CandidateKind kind;
+  uint32_t min_overlap_records;
+  const char* name;
+};
+
+class ShardCandidates : public ::testing::TestWithParam<ShardCandidatesCase> {
+ protected:
+  static GridBlockingConfig Grid() {
+    GridBlockingConfig grid;
+    grid.min_overlap_records = GetParam().min_overlap_records;
+    return grid;
+  }
+};
 
 TEST_P(ShardCandidates, UnionOverAPartitionEqualsTheFullGenerator) {
   const LinkageContext ctx =
       LinkageContext::Build(Sample().a, Sample().b, HistoryConfig{}, 1);
   const SlimConfig defaults;
-  const auto full = MakeCandidateGenerator(GetParam(), ctx, defaults.lsh,
-                                           defaults.grid, 1);
+  const auto full = MakeCandidateGenerator(GetParam().kind, ctx, defaults.lsh,
+                                           Grid(), 1);
 
   const EntityIdx lefts = static_cast<EntityIdx>(ctx.store_e.size());
   for (const int shards : {2, 7}) {
@@ -305,9 +320,9 @@ TEST_P(ShardCandidates, UnionOverAPartitionEqualsTheFullGenerator) {
     std::vector<std::unique_ptr<CandidateGenerator>> parts;
     uint64_t total = 0;
     for (const auto& [begin, end] : plan.ranges) {
-      parts.push_back(MakeShardCandidateGenerator(GetParam(), ctx,
-                                                  defaults.lsh, defaults.grid,
-                                                  0, lefts, begin, end, 1));
+      parts.push_back(MakeShardCandidateGenerator(GetParam().kind, ctx,
+                                                  defaults.lsh, Grid(), 0,
+                                                  lefts, begin, end, 1));
       total += parts.back()->total_candidate_pairs();
       EXPECT_EQ(parts.back()->name(), full->name());
     }
@@ -337,8 +352,8 @@ TEST_P(ShardCandidates, LeftRightBlockGridEqualsTheFullGenerator) {
   const LinkageContext ctx =
       LinkageContext::Build(Sample().a, Sample().b, HistoryConfig{}, 1);
   const SlimConfig defaults;
-  const auto full = MakeCandidateGenerator(GetParam(), ctx, defaults.lsh,
-                                           defaults.grid, 1);
+  const auto full = MakeCandidateGenerator(GetParam().kind, ctx, defaults.lsh,
+                                           Grid(), 1);
 
   // A 3 x 4 block grid: every left entity appears in exactly one row of
   // blocks, and its candidate list is the row's concatenation in right
@@ -350,7 +365,7 @@ TEST_P(ShardCandidates, LeftRightBlockGridEqualsTheFullGenerator) {
     std::vector<std::unique_ptr<CandidateGenerator>> row;
     for (const auto& [right_begin, right_end] : right_ranges) {
       row.push_back(MakeShardCandidateGenerator(
-          GetParam(), ctx, defaults.lsh, defaults.grid, left_begin, left_end,
+          GetParam().kind, ctx, defaults.lsh, Grid(), left_begin, left_end,
           right_begin, right_end, 1));
       total += row.back()->total_candidate_pairs();
     }
@@ -373,12 +388,17 @@ TEST_P(ShardCandidates, LeftRightBlockGridEqualsTheFullGenerator) {
   EXPECT_EQ(total, full->total_candidate_pairs());
 }
 
+const ShardCandidatesCase kShardCandidatesCases[] = {
+    {CandidateKind::kLsh, 0, "lsh"},
+    {CandidateKind::kBruteForce, 0, "brute"},
+    {CandidateKind::kGrid, 0, "grid"},
+    {CandidateKind::kGrid, 2, "grid_min_overlap_2"},
+};
+
 INSTANTIATE_TEST_SUITE_P(AllGenerators, ShardCandidates,
-                         ::testing::Values(CandidateKind::kLsh,
-                                           CandidateKind::kBruteForce,
-                                           CandidateKind::kGrid),
+                         ::testing::ValuesIn(kShardCandidatesCases),
                          [](const auto& pinfo) {
-                           return std::string(CandidateKindName(pinfo.param));
+                           return std::string(pinfo.param.name);
                          });
 
 // ---- The driver: sharded == monolithic, at every K x threads. ----

@@ -2,7 +2,9 @@
 // workloads with known ground truth.
 #include "core/slim.h"
 
+#include <limits>
 #include <unordered_set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -123,6 +125,38 @@ TEST(SlimIntegration, LshKeepsMostOfTheQuality) {
   // And it must have pruned the pair space.
   EXPECT_LT(lsh->candidate_pairs, lsh->possible_pairs);
   EXPECT_LT(lsh->stats.record_comparisons, brute->stats.record_comparisons);
+}
+
+TEST(SlimConfigValidation, RejectsEveryFieldTheLinkageWouldAbortOn) {
+  EXPECT_TRUE(ValidateSlimConfig(SlimConfig{}).ok());
+  // One bad field per case, every other field at its default.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<SlimConfig> bad(13);
+  bad[0].history.window_seconds = 0;
+  bad[1].history.spatial_level = -1;
+  bad[2].history.spatial_level = CellId::kMaxLevel + 1;
+  bad[3].similarity.b = 1.5;
+  bad[4].similarity.b = -0.1;
+  bad[5].similarity.b = nan;
+  bad[6].lsh.signature_spatial_level = -1;
+  bad[7].lsh.signature_spatial_level = 14;  // above spatial level 12
+  bad[8].lsh.temporal_step_windows = 0;
+  bad[9].lsh.similarity_threshold = 0.0;
+  bad[10].lsh.similarity_threshold = 1.0;
+  bad[11].lsh.similarity_threshold = nan;
+  bad[12].lsh.num_buckets = 0;
+  for (size_t k = 0; k < bad.size(); ++k) {
+    EXPECT_EQ(ValidateSlimConfig(bad[k]).code(), StatusCode::kInvalidArgument)
+        << "case " << k;
+  }
+}
+
+TEST(SlimConfigValidation, LshFieldsOnlyMatterForLshCandidates) {
+  SlimConfig config;
+  config.candidates = CandidateKind::kBruteForce;
+  config.lsh.temporal_step_windows = 0;
+  config.lsh.num_buckets = 0;
+  EXPECT_TRUE(ValidateSlimConfig(config).ok());
 }
 
 TEST(SlimIntegration, EmptyDatasetsProduceEmptyResult) {

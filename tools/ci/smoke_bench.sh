@@ -8,8 +8,9 @@
 #
 #   tools/ci/smoke_bench.sh [build_dir] [suite]
 #
-# With no suite, runs all of: pipeline ingest kernel sharded scale sweep.
+# With no suite, runs all of: pipeline ingest kernel sweep.
 # CI invokes one suite per step so each gate is its own line in the run.
+# The scale bench's quick gate is the ctest entry bench_scale_quick.
 set -euo pipefail
 
 BUILD="${1:-build}"
@@ -29,25 +30,19 @@ run_suite() {
       "$BUILD/bench/bench_kernel" --quick \
         --out BENCH_kernel_quick.json \
         --baseline bench/baselines/BENCH_kernel_quick.json ;;
-    sharded)
-      "$BUILD/bench/bench_sharded" --quick \
-        --out BENCH_sharded_quick.json ;;
-    scale)
-      "$BUILD/bench/bench_scale" --quick \
-        --out BENCH_scale_quick.json ;;
     sweep)
       "$BUILD/tools/slim_sweep" --quick \
         --gate_f1 0.95 --gate_workload commute \
         --out BENCH_sweep_quick.json ;;
     *)
       echo "smoke_bench: unknown suite '$1'" >&2
-      echo "suites: pipeline ingest kernel sharded scale sweep" >&2
+      echo "suites: pipeline ingest kernel sweep" >&2
       exit 2 ;;
   esac
 }
 
 if [ "$SUITE" = "all" ]; then
-  for suite in pipeline ingest kernel sharded scale sweep; do
+  for suite in pipeline ingest kernel sweep; do
     run_suite "$suite"
   done
 else

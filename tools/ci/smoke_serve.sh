@@ -5,7 +5,8 @@
 # and shut down cleanly. The saved epoch-2 links must be byte-identical
 # to a from-scratch `slim_link --min_records 0` over the union of
 # everything ingested (the incremental engine applies no record filter) —
-# this is the serving determinism contract of docs/SERVING.md.
+# this is the serving determinism contract of docs/SERVING.md. Last, a
+# fake daemon that hangs up mid-request must fail the client with exit 2.
 #
 # Runs locally too:  tools/ci/smoke_serve.sh [build_dir]
 set -euo pipefail
@@ -14,7 +15,9 @@ BUILD="${1:-build}"
 TMP="$(mktemp -d)"
 SOCK="$TMP/slim_serve.sock"
 DAEMON_PID=""
-trap '[ -n "$DAEMON_PID" ] && kill "$DAEMON_PID" 2>/dev/null; rm -rf "$TMP"' EXIT
+FAKE_PID=""
+trap '[ -n "$DAEMON_PID" ] && kill "$DAEMON_PID" 2>/dev/null
+      [ -n "$FAKE_PID" ] && kill "$FAKE_PID" 2>/dev/null; rm -rf "$TMP"' EXIT
 
 "$BUILD/tools/slim_serve" --version
 
@@ -77,5 +80,35 @@ grep -q "^OK bye$" "$TMP/replies.txt"
 "$BUILD/tools/slim_link" --a "$TMP/serve_a.csv" --b "$TMP/serve_b.csv" \
   --out "$TMP/links_batch.csv" --min_records 0
 cmp "$TMP/links_batch.csv" "$TMP/links_serve.csv"
+
+# A daemon that dies mid-request: the fake sends the handshake, reads one
+# request and closes without a reply. The client must exit 2, not 0.
+FAKE="$TMP/fake.sock"
+python3 - "$FAKE" <<'PY' &
+import socket
+import sys
+
+server = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+server.bind(sys.argv[1])
+server.listen(1)
+conn, _ = server.accept()
+conn.sendall(b"HELLO slim-serve-v1 build=fake\n")
+conn.recv(4096)
+conn.close()
+PY
+FAKE_PID=$!
+for _ in $(seq 1 100); do
+  [ -S "$FAKE" ] && break
+  sleep 0.1
+done
+CLIENT_RC=0
+echo "LINK" | "$BUILD/tools/slim_serve" --connect "$FAKE" > /dev/null ||
+  CLIENT_RC=$?
+wait "$FAKE_PID"
+FAKE_PID=""
+[ "$CLIENT_RC" -eq 2 ] || {
+  echo "smoke_serve: client exited $CLIENT_RC, not 2, on a hang-up" >&2
+  exit 1
+}
 
 echo "smoke_serve: OK"

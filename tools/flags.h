@@ -5,8 +5,10 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/strings.h"
@@ -49,6 +51,19 @@ class Flags {
     auto v = ParseInt64(it->second);
     if (!v.ok()) Fail("flag --" + key + " expects an integer");
     return *v;
+  }
+
+  /// GetInt narrowed to T, failing on a value T cannot hold — so
+  /// 4294967308 is not read as an int 12, nor -1 as an unsigned SIZE_MAX.
+  template <typename T>
+  T GetIntAs(const std::string& key, T def) const {
+    const int64_t v = GetInt(key, static_cast<int64_t>(def));
+    if (!std::in_range<T>(v)) {
+      Fail("flag --" + key + " must be in [" +
+           std::to_string(std::numeric_limits<T>::min()) + ", " +
+           std::to_string(std::numeric_limits<T>::max()) + "]");
+    }
+    return static_cast<T>(v);
   }
 
   double GetDouble(const std::string& key, double def) const {

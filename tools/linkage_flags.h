@@ -15,13 +15,13 @@ namespace slim::tools {
 /// --candidates, --lsh_level, --lsh_step, --lsh_threshold, --lsh_buckets,
 /// --threshold (gmm|otsu|two_means|none), --matcher and --threads into a
 /// SlimConfig; every other field keeps its default. With none of these
-/// flags given, the result equals SlimConfig{}. A malformed value exits
-/// through Flags::Fail.
+/// flags given, the result equals SlimConfig{}. A malformed value, or an
+/// integer its field's type cannot hold, exits through Flags::Fail; the
+/// caller checks the finished config with ValidateSlimConfig.
 inline SlimConfig ParseLinkageFlags(const Flags& flags) {
   SlimConfig config;
   config.history.window_seconds = flags.GetInt("window_minutes", 15) * 60;
-  config.history.spatial_level =
-      static_cast<int>(flags.GetInt("spatial_level", 12));
+  config.history.spatial_level = flags.GetIntAs<int>("spatial_level", 12);
   config.similarity.b = flags.GetDouble("b_param", 0.5);
   config.similarity.proximity.max_speed_mps =
       flags.GetDouble("max_speed_kmh", 120.0) / 3.6;
@@ -29,13 +29,10 @@ inline SlimConfig ParseLinkageFlags(const Flags& flags) {
   auto kind = ParseCandidateKind(candidates.empty() ? "lsh" : candidates);
   if (!kind.ok()) Flags::Fail(kind.status().ToString());
   config.candidates = *kind;
-  config.lsh.signature_spatial_level =
-      static_cast<int>(flags.GetInt("lsh_level", 10));
-  config.lsh.temporal_step_windows =
-      static_cast<int>(flags.GetInt("lsh_step", 8));
+  config.lsh.signature_spatial_level = flags.GetIntAs<int>("lsh_level", 10);
+  config.lsh.temporal_step_windows = flags.GetIntAs<int>("lsh_step", 8);
   config.lsh.similarity_threshold = flags.GetDouble("lsh_threshold", 0.5);
-  config.lsh.num_buckets =
-      static_cast<size_t>(flags.GetInt("lsh_buckets", 4096));
+  config.lsh.num_buckets = flags.GetIntAs<size_t>("lsh_buckets", 4096);
   const std::string threshold = flags.GetString("threshold", "gmm");
   if (threshold == "gmm") {
     config.threshold_method = ThresholdMethod::kGmmExpectedF1;
@@ -54,7 +51,7 @@ inline SlimConfig ParseLinkageFlags(const Flags& flags) {
   } else if (matcher != "greedy") {
     Flags::Fail("unknown --matcher: " + matcher);
   }
-  config.threads = static_cast<int>(flags.GetInt("threads", 0));
+  config.threads = flags.GetIntAs<int>("threads", 0);
   return config;
 }
 

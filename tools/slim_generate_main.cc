@@ -97,8 +97,8 @@ int main(int argc, char** argv) {
   const std::string preset = flags.GetString("preset", "");
   if (preset == "sm100k") {
     // The sharded-linkage scenario: a 200k-user SM master sampled into two
-    // 100k-entity sides — the scale bench_sharded records in
-    // BENCH_sharded.json. Master generation is the slow part (~minutes);
+    // 100k-entity sides — the scale bench_scale records in
+    // BENCH_scale.json. Master generation is the slow part (~minutes);
     // prefer --format sbin for fast reload into slim_link.
     defaults.workload = "sm";
     defaults.entities_sm = 200000;

@@ -65,8 +65,10 @@ void Usage() {
       "  --no_lsh              alias for --candidates brute\n"
       "  --grid_max_bin N      grid blocking: skip bins shared by > N right\n"
       "                        entities (default 0 = no cap)\n"
-      "  --grid_min_overlap N  grid blocking: drop pairs with quantized\n"
-      "                        co-visit mass < N (default 0 = keep all)\n"
+      "  --grid_min_overlap N  grid blocking: drop pairs whose co-visit\n"
+      "                        mass (sum over shared bins of the smaller\n"
+      "                        record count, no 65535 cap) is < N\n"
+      "                        (default 0 = keep all)\n"
       "  --lsh_level N         signature spatial level (default 10)\n"
       "  --lsh_step N          query step in leaf windows (default 8)\n"
       "  --lsh_threshold T     candidate similarity threshold (default 0.5)\n"
@@ -125,15 +127,14 @@ int main(int argc, char** argv) {
   auto format = slim::ParseDatasetFormat(flags.GetString("format", "auto"));
   if (!format.ok()) slim::tools::Flags::Fail(format.status().ToString());
   io.format = *format;
-  io.io_threads = static_cast<int>(flags.GetInt("io_threads", 0));
+  io.io_threads = flags.GetIntAs<int>("io_threads", 0);
 
   auto a = slim::ReadDataset(path_a, "A", io);
   if (!a.ok()) slim::tools::Flags::Fail(a.status().ToString());
   auto b = slim::ReadDataset(path_b, "B", io);
   if (!b.ok()) slim::tools::Flags::Fail(b.status().ToString());
 
-  const size_t min_records =
-      static_cast<size_t>(flags.GetInt("min_records", 6));
+  const size_t min_records = flags.GetIntAs<size_t>("min_records", 6);
   if (min_records > 0) {
     a->FilterMinRecords(min_records);
     b->FilterMinRecords(min_records);
@@ -155,12 +156,11 @@ int main(int argc, char** argv) {
     }
     config.candidates = slim::CandidateKind::kBruteForce;
   }
-  config.grid.max_bin_entities =
-      static_cast<uint32_t>(flags.GetInt("grid_max_bin", 0));
+  config.grid.max_bin_entities = flags.GetIntAs<uint32_t>("grid_max_bin", 0);
   config.grid.min_overlap_records =
-      static_cast<uint32_t>(flags.GetInt("grid_min_overlap", 0));
-  config.shards = static_cast<int>(flags.GetInt("shards", 0));
-  config.left_shards = static_cast<int>(flags.GetInt("left_shards", 0));
+      flags.GetIntAs<uint32_t>("grid_min_overlap", 0);
+  config.shards = flags.GetIntAs<int>("shards", 0);
+  config.left_shards = flags.GetIntAs<int>("left_shards", 0);
   const long long budget_mb = flags.GetInt("memory_budget_mb", 0);
   if (budget_mb < 0) {
     slim::tools::Flags::Fail("--memory_budget_mb must be >= 0");
@@ -187,6 +187,8 @@ int main(int argc, char** argv) {
     }
     std::fprintf(stderr, "auto-tuned spatial level: %d\n", *level);
   }
+  const slim::Status valid = slim::ValidateSlimConfig(config);
+  if (!valid.ok()) slim::tools::Flags::Fail(valid.ToString());
 
   const slim::SlimLinker linker(config);
   auto result = linker.Link(*a, *b);

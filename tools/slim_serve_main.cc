@@ -15,7 +15,8 @@
 // Client:
 //   slim_serve --connect /tmp/slim.sock [--listen]
 //   Prints the handshake, then sends each stdin line as one request and
-//   prints its reply. Exits 3 as soon as a reply is "ERR ...". With
+//   prints its reply. Exits 3 as soon as a reply is "ERR ...", and 2 when
+//   it cannot connect or the server hangs up before a reply. With
 //   --listen, stays connected after stdin is exhausted and prints pushed
 //   EVENT lines until the server closes the connection.
 #include <sys/socket.h>
@@ -61,14 +62,17 @@ void Usage() {
       "  --threshold KIND      gmm|otsu|two_means|none (default gmm)\n"
       "  --threads N           worker threads per epoch (default: env/hw)\n"
       "client options:\n"
-      "  --connect PATH        send stdin lines to a running daemon\n"
+      "  --connect PATH        send stdin lines to a running daemon; exit\n"
+      "                        2 if it cannot connect or the daemon hangs\n"
+      "                        up before a reply, 3 on an ERR reply\n"
       "  --listen              after stdin, print EVENT lines until the\n"
       "                        server closes the connection\n"
       "  --version             print the build/version string and exit\n");
 }
 
 /// Connects, relays stdin as requests, prints every server line. Exit
-/// codes: 0 clean, 2 connect failure, 3 the server answered ERR.
+/// codes: 0 clean, 2 connect failure or the server hung up before a
+/// reply, 3 the server answered ERR.
 int RunClient(const std::string& path, bool listen_after) {
   sockaddr_un addr{};
   addr.sun_family = AF_UNIX;
@@ -91,7 +95,6 @@ int RunClient(const std::string& path, bool listen_after) {
   }
 
   std::string buffer;
-  bool server_gone = false;
   // Pulls one '\n'-terminated line out of the socket. Returns false on EOF.
   const auto read_line = [&](std::string* line) {
     size_t newline;
@@ -99,10 +102,7 @@ int RunClient(const std::string& path, bool listen_after) {
       char chunk[4096];
       const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
       if (n < 0 && errno == EINTR) continue;
-      if (n <= 0) {
-        server_gone = true;
-        return false;
-      }
+      if (n <= 0) return false;
       buffer.append(chunk, static_cast<size_t>(n));
     }
     line->assign(buffer, 0, newline);
@@ -150,17 +150,21 @@ int RunClient(const std::string& path, bool listen_after) {
     }
     // EVENT lines from this client's own SUBSCRIBE may precede the
     // reply; print them in arrival order, the reply ends the exchange.
-    while (read_line(&line)) {
+    bool replied = false;
+    while (!replied && read_line(&line)) {
       std::printf("%s\n", line.c_str());
       if (line.rfind("EVENT ", 0) == 0) continue;
       if (line.rfind("ERR ", 0) == 0) rc = 3;
-      break;
+      replied = true;
     }
-    if (server_gone) break;
+    if (!replied) {
+      std::fprintf(stderr, "error: server closed the connection\n");
+      rc = 2;
+    }
   }
   std::free(lineptr);
 
-  if (rc == 0 && listen_after && !server_gone) {
+  if (rc == 0 && listen_after) {
     while (read_line(&line)) std::printf("%s\n", line.c_str());
   }
   std::fflush(stdout);
@@ -195,6 +199,8 @@ int main(int argc, char** argv) {
   // The linkage flags and defaults slim_link uses, so a daemon session
   // and a from-scratch batch run agree byte for byte (docs/SERVING.md).
   const slim::SlimConfig config = slim::tools::ParseLinkageFlags(flags);
+  const slim::Status valid = slim::ValidateSlimConfig(config);
+  if (!valid.ok()) slim::tools::Flags::Fail(valid.ToString());
 
   std::signal(SIGINT, HandleStopSignal);
   std::signal(SIGTERM, HandleStopSignal);
