@@ -45,8 +45,8 @@ struct HistoryConfig {
 
 /// Groups one entity's records into time-location bins, sorted by
 /// (window, cell) with per-bin record counts. This is the binning kernel
-/// behind every HistoryStore (core/linkage_context.h), batch-built or
-/// appended.
+/// behind every HistoryStore (LinkageContext::Build in
+/// core/linkage_context.h).
 std::vector<TimeLocationBin> GroupRecordsIntoBins(
     std::span<const Record> records, const HistoryConfig& config);
 

@@ -4,8 +4,6 @@
 #include <chrono>
 #include <utility>
 
-#include "common/parallel.h"
-
 namespace slim {
 namespace {
 
@@ -23,29 +21,28 @@ SlimConfig WithGraph(SlimConfig config) {
 }  // namespace
 
 IncrementalLinker::IncrementalLinker(SlimConfig config)
-    : linker_(WithGraph(std::move(config))) {
-  ctx_.config = linker_.config().history;
-}
+    : linker_(WithGraph(std::move(config))) {}
 
 void IncrementalLinker::Ingest(LinkageSide side,
                                std::span<const Record> records) {
-  if (records.empty()) return;
-  ctx_.AppendRecords(side, records);
+  LocationDataset& dataset = side == LinkageSide::kE ? records_e_ : records_i_;
+  for (const Record& r : records) dataset.Add(r);
   (side == LinkageSide::kE ? pending_records_e_ : pending_records_i_) +=
-      records.size();
-  (side == LinkageSide::kE ? total_records_e_ : total_records_i_) +=
       records.size();
 }
 
 Result<EpochResult> IncrementalLinker::LinkEpoch() {
   const auto t_start = std::chrono::steady_clock::now();
-  const int threads = config().threads > 0 ? config().threads
-                                           : DefaultThreadCount();
-
-  // 1. Fold buffered appends into the dense context, then 2-5. the batch
-  //    driver over it, so the epoch is the batch link of the union.
-  ctx_.Compact(threads);
-  const double compact_seconds = SecondsSince(t_start);
+  // 1. The batch build over every record ingested so far (Finalize sorts
+  //    only this epoch's records into place), then 2-5. the batch driver
+  //    over it, so the epoch is the batch link of the union. The previous
+  //    context goes first, so two never coexist.
+  records_e_.Finalize();
+  records_i_.Finalize();
+  ctx_ = {};
+  ctx_ = LinkageContext::Build(records_e_, records_i_, config().history,
+                               config().threads);
+  const double build_seconds = SecondsSince(t_start);
   Result<LinkageResult> linked = linker_.LinkShardedContext(ctx_);
   if (!linked.ok()) return linked.status();
 
@@ -53,7 +50,7 @@ Result<EpochResult> IncrementalLinker::LinkEpoch() {
   out.epoch = ++epoch_;
   LinkageResult& result = out.linkage;
   result = std::move(linked.value());
-  result.seconds_histories = compact_seconds;
+  result.seconds_histories = build_seconds;
   result.seconds_total = SecondsSince(t_start);
   out.incremental.appended_records = pending_records_e_ + pending_records_i_;
   out.incremental.pairs_scored = result.candidate_pairs;

@@ -1,23 +1,24 @@
-// Epoch-based incremental linkage over a build-and-extend context.
+// Epoch-based incremental linkage: a growing pair of datasets, re-linked
+// on demand.
 //
 // The batch pipeline (core/slim.h) links two frozen datasets from
-// scratch. IncrementalLinker keeps one LinkageContext alive across
-// *epochs*: Ingest() buffers record appends (new events for existing
-// entities, or entirely new entities, on either side) and LinkEpoch()
-// folds them in — vocabulary intern + store compaction
-// (core/linkage_context.h) — then runs the batch driver
-// (SlimLinker::LinkShardedContext) over the compacted context:
-// candidates, scoring, matching, and the GMM stop threshold, from scratch.
+// scratch. IncrementalLinker keeps every ingested record in two
+// LocationDatasets and links them in *epochs*: Ingest() adds records (new
+// events for existing entities, or entirely new entities, on either side,
+// in any time order) and LinkEpoch() builds the epoch's context with
+// LinkageContext::Build over every record ingested so far, then runs the
+// batch driver (SlimLinker::LinkShardedContext) over it: candidates,
+// scoring, matching, and the GMM stop threshold, from scratch.
 //
 // The contract, pinned by tests/test_incremental.cc and the CI
 // serve-smoke byte-comparison: after any sequence of Ingest/LinkEpoch
 // calls, the epoch's links/matching/threshold/graph are BIT-IDENTICAL to
 // a from-scratch SlimLinker::Link over the union of every record ever
-// ingested, at every thread count. It holds by construction: the
-// compacted context equals LinkageContext::Build over that union, and the
-// epoch runs the same driver over it.
+// ingested, at every thread count. It holds by construction: the epoch's
+// context is the batch build over that union, and the epoch runs the same
+// driver over it.
 //
-// Nothing but the context, the links, and the graph (TopK's source)
+// Nothing but the records, the links, and the graph (TopK's source)
 // carries over between epochs. A new bin shifts avg|H| and so every
 // length norm; a new entity shifts |U| and so every IDF value; a moved
 // window span moves the LSH query grid. A time-ordered stream does all
@@ -27,8 +28,8 @@
 // Not thread-safe: one linker, one caller (the slim_serve daemon's
 // single-threaded command loop). Internally LinkEpoch parallelises over
 // config.threads and follows the block plan like the batch path;
-// keep_graph is forced on and sctx_path is ignored (the live context is
-// heap-resident).
+// keep_graph is forced on and sctx_path is ignored (the epoch's context
+// is heap-resident).
 #ifndef SLIM_CORE_INCREMENTAL_H_
 #define SLIM_CORE_INCREMENTAL_H_
 
@@ -39,17 +40,18 @@
 #include "common/status.h"
 #include "core/linkage_context.h"
 #include "core/slim.h"
+#include "data/dataset.h"
 #include "match/bipartite.h"
 
 namespace slim {
 
 /// What one LinkEpoch did (diagnostics; the LINK reply). Every epoch
-/// re-links the compacted context from scratch, so pairs_scored is the
+/// re-links a freshly built context from scratch, so pairs_scored is the
 /// epoch's candidate-pair count, both reuse counters read 0, and
 /// rescored_all reads true; the fields keep the reply and the bench
 /// records stable.
 struct EpochStats {
-  uint64_t appended_records = 0;  // records folded in by this epoch
+  uint64_t appended_records = 0;  // records ingested since the last epoch
   uint64_t pairs_scored = 0;      // candidate pairs scored
   uint64_t pairs_reused = 0;      // always 0: no pair-score cache
   uint64_t signatures_reused = 0; // always 0: no LSH signature carry-over
@@ -73,23 +75,23 @@ class IncrementalLinker {
  public:
   /// CHECKs ValidateSlimConfig (core/slim.h) like SlimLinker does, so a
   /// bad config fails here rather than at the first epoch, and forces
-  /// keep_graph on. Starts at epoch 0 with an empty
+  /// keep_graph on. Starts at epoch 0 with no records and an empty
   /// context.
   explicit IncrementalLinker(SlimConfig config);
 
-  /// Buffers `records` (any order; new or existing entities) for the
-  /// given side. Visible to queries only after the next LinkEpoch().
+  /// Adds `records` (any order; new or existing entities) to the given
+  /// side. Visible to queries only after the next LinkEpoch().
   void Ingest(LinkageSide side, std::span<const Record> records);
 
-  /// Records buffered since the last LinkEpoch, per side.
+  /// Records ingested since the last LinkEpoch, per side.
   uint64_t pending_records(LinkageSide side) const {
     return side == LinkageSide::kE ? pending_records_e_ : pending_records_i_;
   }
 
-  /// Folds buffered appends into the context and re-links. Calling with
-  /// nothing buffered re-seals identical links. Fails only when a
-  /// multi-block plan's disk spill does (IoError); the epoch is then not
-  /// sealed.
+  /// Builds the context over every record ingested so far and re-links
+  /// it. Calling with nothing new re-seals identical links. Fails only
+  /// when a multi-block plan's disk spill does (IoError); the epoch is
+  /// then not sealed.
   Result<EpochResult> LinkEpoch();
 
   /// Epochs sealed so far.
@@ -103,20 +105,22 @@ class IncrementalLinker {
   /// scored pair of u, whether or not matching kept it. Empty when u is
   /// unknown or scored no positive pair.
   std::vector<LinkedEntityPair> TopK(EntityId u, size_t k) const;
-  /// The live context (post-compaction view of everything ingested).
+  /// The context the last LinkEpoch built: the batch build over every
+  /// record ingested before that call. Empty before the first.
   const LinkageContext& context() const { return ctx_; }
   const SlimConfig& config() const { return linker_.config(); }
-  /// Total records ingested (and folded in) per side since construction.
+  /// Total records ingested per side since construction.
   uint64_t total_records(LinkageSide side) const {
-    return side == LinkageSide::kE ? total_records_e_ : total_records_i_;
+    return (side == LinkageSide::kE ? records_e_ : records_i_).num_records();
   }
 
  private:
   SlimLinker linker_;
+  // Every record ingested so far, per side (32 B each).
+  LocationDataset records_e_{"A"}, records_i_{"B"};
   LinkageContext ctx_;
   int epoch_ = 0;
   uint64_t pending_records_e_ = 0, pending_records_i_ = 0;
-  uint64_t total_records_e_ = 0, total_records_i_ = 0;
   // The last sealed epoch's links and (u, v)-sorted graph.
   std::vector<LinkedEntityPair> links_;
   BipartiteGraph graph_;

@@ -19,20 +19,11 @@ struct SideBins {
 
 }  // namespace
 
-// Fills HistoryStore's private CSR arrays; the only construction path.
+// Fills HistoryStore's private arrays; the only construction path.
 class HistoryStoreBuilder {
  public:
   static void Fill(const LocationDataset& dataset, const BinVocabulary& vocab,
                    SideBins&& side, int threads, HistoryStore* store);
-  // Shared CSR construction from per-entity ascending (BinId, count)
-  // lists: fills every flat array of `store` except entity_ids_, trees_,
-  // and total_records_ (the caller owns those). Both the batch build and
-  // HistoryStore::Compact funnel through here, so an append-then-compact
-  // store is field-for-field the batch store over the merged records.
-  static void BuildCsr(
-      const BinVocabulary& vocab,
-      const std::vector<std::vector<std::pair<BinId, uint32_t>>>& entities,
-      int threads, HistoryStore* store);
 };
 
 namespace {
@@ -70,61 +61,28 @@ SideBins BinSide(const LocationDataset& dataset, const HistoryConfig& config,
 void HistoryStoreBuilder::Fill(const LocationDataset& dataset,
                                const BinVocabulary& vocab, SideBins&& side,
                                int threads, HistoryStore* store) {
-  const size_t n = dataset.entity_ids().size();
+  const std::vector<std::vector<TimeLocationBin>>& entities = side.bins;
+  const size_t n = entities.size();
   store->entity_ids_ = dataset.entity_ids();
   store->trees_ = std::move(side.trees);
   store->total_records_ = std::move(side.total_records);
 
-  // Intern each entity's (window, cell)-sorted bins into an ascending
-  // BinId list (vocabulary ids share that order); the shared CSR builder
-  // does the rest.
-  std::vector<std::vector<std::pair<BinId, uint32_t>>> entities(n);
-  ParallelFor(
-      n,
-      [&](size_t begin, size_t end, int) {
-        for (size_t k = begin; k < end; ++k) {
-          const auto& bins = side.bins[k];
-          auto& out = entities[k];
-          out.reserve(bins.size());
-          for (const TimeLocationBin& bin : bins) {
-            const auto id = vocab.Find(bin.window, bin.cell);
-            SLIM_CHECK_MSG(id.has_value(), "bin missing from vocabulary");
-            out.emplace_back(*id, bin.record_count);
-          }
-        }
-      },
-      threads);
-  BuildCsr(vocab, entities, threads, store);
-}
-
-void HistoryStoreBuilder::BuildCsr(
-    const BinVocabulary& vocab,
-    const std::vector<std::vector<std::pair<BinId, uint32_t>>>& entities,
-    int threads, HistoryStore* store) {
-  const size_t n = entities.size();
-  // Built into locals and assigned at the end: compaction may be
-  // rebuilding a store whose previous arrays are read-only SCTX views,
-  // and those must stay readable while we merge out of them.
-  std::vector<uint32_t> bin_offsets(n + 1, 0);
-  std::vector<uint32_t> window_offsets(n + 1, 0);
-
-  // CSR offsets from per-entity bin counts (exclusive prefix sums), then a
-  // parallel fill into the pre-sized flat arrays. Offsets are 32-bit;
-  // guard the total before summing into them (the vocabulary has the
-  // matching guard on distinct bins).
+  // CSR offsets from per-entity bin and window counts (exclusive prefix
+  // sums), then a parallel fill into the pre-sized flat arrays. Offsets are
+  // 32-bit; guard the total before summing into them (the vocabulary has
+  // the matching guard on distinct bins).
   uint64_t total_bins64 = 0;
   for (const auto& bins : entities) total_bins64 += bins.size();
   SLIM_CHECK_MSG(total_bins64 <= UINT32_MAX,
                  "history store exceeds 2^32 bin occurrences");
+  std::vector<uint32_t> bin_offsets(n + 1, 0);
+  std::vector<uint32_t> window_offsets(n + 1, 0);
   for (size_t k = 0; k < n; ++k) {
     const auto& bins = entities[k];
     bin_offsets[k + 1] = bin_offsets[k] + static_cast<uint32_t>(bins.size());
     uint32_t entity_windows = 0;
     for (size_t i = 0; i < bins.size(); ++i) {
-      if (i == 0 ||
-          vocab.window(bins[i].first) != vocab.window(bins[i - 1].first)) {
-        ++entity_windows;
-      }
+      if (i == 0 || bins[i].window != bins[i - 1].window) ++entity_windows;
     }
     window_offsets[k + 1] = window_offsets[k] + entity_windows;
   }
@@ -147,10 +105,14 @@ void HistoryStoreBuilder::BuildCsr(
           uint64_t* mask =
               window_masks.data() + k * HistoryStore::kWindowMaskWords;
           for (size_t i = 0; i < bins.size(); ++i) {
-            const int64_t window = vocab.window(bins[i].first);
-            bin_ids[bin_pos] = bins[i].first;
-            bin_counts[bin_pos] = bins[i].second;
-            if (i == 0 || window != vocab.window(bins[i - 1].first)) {
+            // Vocabulary ids share the bins' (window, cell) order, so each
+            // entity's BinId span comes out ascending.
+            const auto id = vocab.Find(bins[i].window, bins[i].cell);
+            SLIM_CHECK_MSG(id.has_value(), "bin missing from vocabulary");
+            bin_ids[bin_pos] = *id;
+            bin_counts[bin_pos] = bins[i].record_count;
+            if (i == 0 || bins[i].window != bins[i - 1].window) {
+              const int64_t window = bins[i].window;
               windows[win_pos] = window;
               window_bin_begin[win_pos] = bin_pos;
               ++win_pos;
@@ -193,7 +155,6 @@ void HistoryStoreBuilder::BuildCsr(
   store->bin_entity_counts_ = std::move(bin_entity_counts);
   store->idf_ = std::move(idf);
 }
-
 
 std::optional<BinId> BinVocabulary::Find(int64_t window, CellId cell) const {
   // Lower bound over the (window, cell-raw)-sorted parallel arrays.
@@ -249,61 +210,6 @@ BinVocabulary BinVocabulary::Build(
   return vocab;
 }
 
-BinId BinVocabulary::Intern(int64_t window, CellId cell) {
-  if (const auto found = Find(window, cell); found.has_value()) return *found;
-  const auto key = std::make_pair(window, cell);
-  if (const auto it = pending_.find(key); it != pending_.end()) {
-    return it->second;
-  }
-  const size_t id = windows_.size() + pending_.size();
-  SLIM_CHECK_MSG(id < static_cast<size_t>(UINT32_MAX),
-                 "bin vocabulary exceeds 2^32 entries");
-  pending_.emplace(key, static_cast<BinId>(id));
-  return static_cast<BinId>(id);
-}
-
-std::vector<BinId> BinVocabulary::Compact() {
-  const size_t base = windows_.size();
-  std::vector<BinId> remap(base + pending_.size());
-  if (pending_.empty()) {
-    for (size_t b = 0; b < base; ++b) remap[b] = static_cast<BinId>(b);
-    return remap;
-  }
-  // Linear merge of the sorted base arrays with the (key-sorted) pending
-  // map. Base and pending keys are disjoint (Intern checks Find first),
-  // and base ids keep their relative order, so the remap restricted to
-  // base ids is strictly increasing.
-  std::vector<int64_t> windows;
-  std::vector<CellId> cells;
-  windows.reserve(remap.size());
-  cells.reserve(remap.size());
-  size_t i = 0;
-  auto it = pending_.begin();
-  while (i < base || it != pending_.end()) {
-    const bool take_base =
-        it == pending_.end() ||
-        (i < base && (windows_[i] < it->first.first ||
-                      (windows_[i] == it->first.first &&
-                       cells_[i] < it->first.second)));
-    const BinId out = static_cast<BinId>(windows.size());
-    if (take_base) {
-      remap[i] = out;
-      windows.push_back(windows_[i]);
-      cells.push_back(cells_[i]);
-      ++i;
-    } else {
-      remap[it->second] = out;
-      windows.push_back(it->first.first);
-      cells.push_back(it->first.second);
-      ++it;
-    }
-  }
-  windows_ = std::move(windows);
-  cells_ = std::move(cells);
-  pending_.clear();
-  return remap;
-}
-
 std::optional<EntityIdx> HistoryStore::IndexOf(EntityId entity) const {
   const auto it =
       std::lower_bound(entity_ids_.begin(), entity_ids_.end(), entity);
@@ -316,133 +222,6 @@ double HistoryStore::LengthNorm(EntityIdx u, double b) const {
   SLIM_CHECK_MSG(avg_bins_ > 0.0, "LengthNorm on an empty HistoryStore");
   const double rel = static_cast<double>(num_bins(u)) / avg_bins_;
   return (1.0 - b) + b * rel;
-}
-
-void HistoryStore::Append(
-    EntityId entity, std::span<const std::pair<BinId, uint32_t>> delta_bins,
-    uint64_t record_count) {
-  PendingAppend& pending = pending_[entity];
-  pending.bins.insert(pending.bins.end(), delta_bins.begin(),
-                      delta_bins.end());
-  pending.records += record_count;
-}
-
-void HistoryStore::Compact(const BinVocabulary& vocab,
-                           std::span<const BinId> remap, int threads) {
-  // Merged sorted entity-id list (old ids are sorted; pending_ iterates
-  // in id order).
-  const size_t old_n = entity_ids_.size();
-  std::vector<EntityId> merged_ids;
-  merged_ids.reserve(old_n + pending_.size());
-  {
-    size_t i = 0;
-    auto it = pending_.begin();
-    while (i < old_n || it != pending_.end()) {
-      if (it == pending_.end() ||
-          (i < old_n && entity_ids_[i] < it->first)) {
-        merged_ids.push_back(entity_ids_[i++]);
-      } else {
-        if (i < old_n && entity_ids_[i] == it->first) ++i;
-        merged_ids.push_back(it->first);
-        ++it;
-      }
-    }
-  }
-  const size_t n = merged_ids.size();
-
-  // Per-entity merged ascending (BinId, count) lists in the new id space.
-  // Renumber + sort + duplicate-sum each delta, then merge-sum it with
-  // the renumbered base span: exactly the bins a batch
-  // GroupRecordsIntoBins over the union of the entity's records produces
-  // (per-(window, cell) record counting is a commutative fold).
-  std::vector<std::vector<std::pair<BinId, uint32_t>>> entities(n);
-  const bool build_trees = has_trees();
-  std::vector<WindowSegmentTree> trees(build_trees ? n : 0);
-  std::vector<uint64_t> total_records(n, 0);
-  ParallelFor(
-      n,
-      [&](size_t begin, size_t end, int) {
-        for (size_t k = begin; k < end; ++k) {
-          const EntityId id = merged_ids[k];
-          const auto old_idx = IndexOf(id);
-          const auto pit = pending_.find(id);
-          auto& out = entities[k];
-          if (pit == pending_.end()) {
-            // Untouched entity: renumber the existing span (stays
-            // ascending — the base remap is strictly increasing) and move
-            // its tree over.
-            const auto base_bins = bins(*old_idx);
-            const auto base_counts = counts(*old_idx);
-            out.reserve(base_bins.size());
-            for (size_t i = 0; i < base_bins.size(); ++i) {
-              out.emplace_back(remap[base_bins[i]], base_counts[i]);
-            }
-            if (build_trees) trees[k] = std::move(trees_[*old_idx]);
-            total_records[k] = total_records_[*old_idx];
-            continue;
-          }
-          std::vector<std::pair<BinId, uint32_t>> delta;
-          delta.reserve(pit->second.bins.size());
-          for (const auto& [b, c] : pit->second.bins) {
-            delta.emplace_back(remap[b], c);
-          }
-          std::sort(delta.begin(), delta.end(),
-                    [](const auto& a, const auto& b) {
-                      return a.first < b.first;
-                    });
-          size_t w = 0;
-          for (size_t i = 0; i < delta.size(); ++i) {
-            if (w > 0 && delta[w - 1].first == delta[i].first) {
-              delta[w - 1].second += delta[i].second;
-            } else {
-              delta[w++] = delta[i];
-            }
-          }
-          delta.resize(w);
-          if (old_idx.has_value()) {
-            const auto base_bins = bins(*old_idx);
-            const auto base_counts = counts(*old_idx);
-            out.reserve(base_bins.size() + delta.size());
-            size_t i = 0, j = 0;
-            while (i < base_bins.size() || j < delta.size()) {
-              if (j == delta.size() ||
-                  (i < base_bins.size() &&
-                   remap[base_bins[i]] < delta[j].first)) {
-                out.emplace_back(remap[base_bins[i]], base_counts[i]);
-                ++i;
-              } else if (i == base_bins.size() ||
-                         delta[j].first < remap[base_bins[i]]) {
-                out.push_back(delta[j]);
-                ++j;
-              } else {
-                out.emplace_back(remap[base_bins[i]],
-                                 base_counts[i] + delta[j].second);
-                ++i;
-                ++j;
-              }
-            }
-            total_records[k] = total_records_[*old_idx] + pit->second.records;
-          } else {
-            out = std::move(delta);
-            total_records[k] = pit->second.records;
-          }
-          if (build_trees) {
-            std::vector<WindowedCellCount> entries;
-            entries.reserve(out.size());
-            for (const auto& [b, c] : out) {
-              entries.push_back({vocab.window(b), vocab.cell(b), c});
-            }
-            trees[k] = WindowSegmentTree::Build(std::move(entries));
-          }
-        }
-      },
-      threads);
-
-  entity_ids_ = std::move(merged_ids);
-  trees_ = std::move(trees);
-  total_records_ = std::move(total_records);
-  pending_.clear();
-  HistoryStoreBuilder::BuildCsr(vocab, entities, threads, this);
 }
 
 LinkageContext LinkageContext::Build(const LocationDataset& dataset_e,
@@ -471,46 +250,6 @@ LinkageContext LinkageContext::Build(const LocationDataset& dataset_e,
   HistoryStoreBuilder::Fill(dataset_i, ctx.vocab, std::move(bins_i), threads,
                             &ctx.store_i);
   return ctx;
-}
-
-void LinkageContext::AppendRecords(LinkageSide side,
-                                   std::span<const Record> records) {
-  HistoryStore& store = side == LinkageSide::kE ? store_e : store_i;
-  // Deterministic per-entity grouping of the (arbitrarily ordered) batch.
-  std::map<EntityId, std::vector<Record>> by_entity;
-  for (const Record& r : records) by_entity[r.entity].push_back(r);
-  std::vector<std::pair<BinId, uint32_t>> delta;
-  for (const auto& [entity, recs] : by_entity) {
-    const std::vector<TimeLocationBin> bins =
-        GroupRecordsIntoBins(recs, config);
-    delta.clear();
-    delta.reserve(bins.size());
-    for (const TimeLocationBin& bin : bins) {
-      delta.emplace_back(vocab.Intern(bin.window, bin.cell),
-                         bin.record_count);
-    }
-    store.Append(entity, delta, recs.size());
-  }
-}
-
-bool LinkageContext::has_pending() const {
-  return vocab.has_pending() || store_e.has_pending() ||
-         store_i.has_pending();
-}
-
-void LinkageContext::Compact(int threads) {
-  if (!has_pending()) return;
-  const bool vocab_changed = vocab.has_pending();
-  const std::vector<BinId> remap = vocab.Compact();
-  // A store with no buffered deltas still needs recompaction when the
-  // vocabulary grew: its BinIds renumber and its per-bin statistic arrays
-  // (IDF, holder counts) resize.
-  if (vocab_changed || store_e.has_pending()) {
-    store_e.Compact(vocab, remap, threads);
-  }
-  if (vocab_changed || store_i.has_pending()) {
-    store_i.Compact(vocab, remap, threads);
-  }
 }
 
 }  // namespace slim

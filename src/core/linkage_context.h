@@ -17,9 +17,12 @@
 //                    similarity engine, every CandidateGenerator, and the
 //                    ST-Link baseline.
 //
-// Construction is data-parallel over entities and deterministic: BinIds
-// are assigned in (window, cell) order, so a history's bin span is sorted
-// by BinId exactly as GroupRecordsIntoBins sorts its bins.
+// LinkageContext::Build is the one builder: the batch pipeline and every
+// serve epoch (core/incremental.h, over all records ingested so far) run
+// it, and an SCTX file (core/sctx.h) stores its output. Construction is
+// data-parallel over entities and deterministic: BinIds are assigned in
+// (window, cell) order, so a history's bin span is sorted by BinId exactly
+// as GroupRecordsIntoBins sorts its bins.
 //
 // Every flat array lives in a FlatArray<T> (common/flat_array.h): the
 // build path owns plain vectors, while a context loaded from an SCTX file
@@ -33,7 +36,6 @@
 #define SLIM_CORE_LINKAGE_CONTEXT_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <span>
@@ -68,25 +70,8 @@ class BinVocabulary {
   CellId cell(BinId b) const { return cells_[b]; }
 
   /// BinId of (window, cell); nullopt when the bin occurs in neither
-  /// dataset. O(log size) binary search. Pending (un-compacted) bins are
-  /// not found.
+  /// dataset. O(log size) binary search.
   std::optional<BinId> Find(int64_t window, CellId cell) const;
-
-  /// BinId of (window, cell), interning a pending bin when absent.
-  /// Pending bins carry provisional ids in [size(), size() +
-  /// pending_size()), assigned in first-intern order; they are invisible
-  /// to size()/window()/cell()/Find() until Compact() folds them into the
-  /// (window, cell)-sorted id space.
-  BinId Intern(int64_t window, CellId cell);
-  bool has_pending() const { return !pending_.empty(); }
-  size_t pending_size() const { return pending_.size(); }
-
-  /// Merges pending bins into the sorted id space and returns the
-  /// old-id -> new-id remap covering both compacted and provisional ids
-  /// (an identity map when nothing is pending). The remap is strictly
-  /// increasing over the old compacted ids, so any remapped ascending bin
-  /// span stays ascending.
-  std::vector<BinId> Compact();
 
   /// Builds the vocabulary from per-side bin lists (each inner vector is
   /// one entity's (window, cell)-sorted bins). Exposed for tests; the
@@ -101,9 +86,6 @@ class BinVocabulary {
   // Parallel arrays indexed by BinId, sorted by (window, cell raw).
   FlatArray<int64_t> windows_;
   FlatArray<CellId> cells_;
-  // Bins interned since the last Compact(), keyed by (window, cell) so
-  // compaction order is deterministic; values are provisional ids.
-  std::map<std::pair<int64_t, CellId>, BinId> pending_;
 };
 
 /// One dataset's histories in a flat CSR layout plus the dataset-level
@@ -185,31 +167,6 @@ class HistoryStore {
   /// Total records of entity u.
   uint64_t total_records(EntityIdx u) const { return total_records_[u]; }
 
-  /// Buffers an append for `entity`, which may be new to the store:
-  /// `delta_bins` are (BinId, additional-record-count) pairs — the ids may
-  /// be provisional ones from BinVocabulary::Intern — and `record_count`
-  /// is how many raw records produced them. Repeat appends to one entity
-  /// accumulate; duplicate bins within or across appends sum their counts
-  /// at compaction. Nothing is visible to readers until Compact().
-  void Append(EntityId entity,
-              std::span<const std::pair<BinId, uint32_t>> delta_bins,
-              uint64_t record_count);
-  bool has_pending() const { return !pending_.empty(); }
-  size_t pending_entities() const { return pending_.size(); }
-
-  /// Applies buffered appends: renumbers every stored BinId through
-  /// `remap` (from BinVocabulary::Compact of the same epoch) and rebuilds
-  /// the CSR layout, window index, fingerprints, per-bin statistics, and
-  /// IDF over the merged histories — the same shared CSR builder the
-  /// batch path uses, so the result is field-for-field the store a batch
-  /// build over the union of records produces. Window trees move over for
-  /// untouched entities and are rebuilt for appended ones; a store loaded
-  /// without trees (ReadSctx with build_trees = false) stays without
-  /// them. A mapped (SCTX-backed) store migrates to owned heap arrays.
-  /// Deterministic at every `threads`.
-  void Compact(const BinVocabulary& vocab, std::span<const BinId> remap,
-               int threads = 0);
-
  private:
   friend class HistoryStoreBuilder;  // construction (linkage_context.cc)
   friend class SctxIo;               // serialisation + mapped views
@@ -234,13 +191,6 @@ class HistoryStore {
   std::vector<WindowSegmentTree> trees_;
   FlatArray<uint64_t> total_records_;
   double avg_bins_ = 0.0;
-  // Appends buffered since the last Compact(), keyed by entity id so
-  // compaction order is deterministic. Transient: never serialised.
-  struct PendingAppend {
-    std::vector<std::pair<BinId, uint32_t>> bins;
-    uint64_t records = 0;
-  };
-  std::map<EntityId, PendingAppend> pending_;
 };
 
 /// Which side of the linkage a record stream feeds: the left ("E") or
@@ -267,20 +217,6 @@ struct LinkageContext {
   static LinkageContext Build(const LocationDataset& dataset_e,
                               const LocationDataset& dataset_i,
                               const HistoryConfig& config, int threads = 0);
-
-  /// Buffers `records` (any order; new or existing entities) for one
-  /// side: bins them with the context's HistoryConfig, interns new
-  /// (window, cell) bins into the vocabulary's pending set, and queues
-  /// per-entity deltas on the side's store. Readers see nothing until
-  /// Compact().
-  void AppendRecords(LinkageSide side, std::span<const Record> records);
-  bool has_pending() const;
-
-  /// Applies every buffered append: compacts the vocabulary and rebuilds
-  /// whichever stores the new bins or buffered deltas touch. After this,
-  /// the context equals LinkageContext::Build over the union of all
-  /// records ever ingested, field for field.
-  void Compact(int threads = 0);
 };
 
 }  // namespace slim

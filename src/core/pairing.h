@@ -39,10 +39,19 @@ std::vector<BinPair> MutuallyFurthestPairs(const std::vector<double>& dist,
 std::vector<BinPair> AllPairs(size_t m, size_t n);
 
 /// Both pairings from one shared sort of the distance matrix — the scoring
-/// hot path (Alg. 1 needs N and N' for every common window). Fast paths
-/// handle the ubiquitous 1x1 and 1xN windows without sorting. Tie-breaking
-/// of `furthest` may differ from MutuallyFurthestPairs() between
-/// equal-distance pairs; contributions are identical either way.
+/// hot path (Alg. 1 needs N and N' for every common window), and the only
+/// pairing the similarity engine runs. Fast paths handle the ubiquitous
+/// 1x1, 1xN and Mx1 windows without sorting.
+///
+/// `nearest` always equals MutuallyNearestPairs(). `furthest` equals
+/// MutuallyFurthestPairs() whenever the distances are distinct, and in
+/// every 1xN or Mx1 window (both take the first maximum). In a larger
+/// window it walks the ascending order backwards, so among equal distances
+/// it takes the LARGER row-major index (row * n + col) first, where
+/// MutuallyFurthestPairs() takes the smaller. The two can then select
+/// different distances, not just different cells: on [[5, 5], [5, 1]] the
+/// reference selects {5, 1} and this function {5, 5}, at (1, 0) and
+/// (0, 1). Scores (and the goldens) follow this function's rule.
 struct MutualPairing {
   std::vector<BinPair> nearest;
   std::vector<BinPair> furthest;

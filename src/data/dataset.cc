@@ -1,6 +1,7 @@
 #include "data/dataset.h"
 
 #include <algorithm>
+#include <cstddef>
 
 #include "common/check.h"
 
@@ -26,14 +27,19 @@ void LocationDataset::Add(EntityId entity, const LatLng& location,
 
 void LocationDataset::Finalize() {
   if (finalized_) return;
-  std::sort(records_.begin(), records_.end(),
-            [](const Record& a, const Record& b) {
-              if (a.entity != b.entity) return a.entity < b.entity;
-              if (a.timestamp != b.timestamp) return a.timestamp < b.timestamp;
-              if (a.location.lat_deg != b.location.lat_deg)
-                return a.location.lat_deg < b.location.lat_deg;
-              return a.location.lng_deg < b.location.lng_deg;
-            });
+  // Only the records added since the last Finalize need sorting; a merge
+  // with the same order then places them among the sorted prefix.
+  const auto order = [](const Record& a, const Record& b) {
+    if (a.entity != b.entity) return a.entity < b.entity;
+    if (a.timestamp != b.timestamp) return a.timestamp < b.timestamp;
+    if (a.location.lat_deg != b.location.lat_deg)
+      return a.location.lat_deg < b.location.lat_deg;
+    return a.location.lng_deg < b.location.lng_deg;
+  };
+  const auto added = records_.begin() + static_cast<std::ptrdiff_t>(sorted_);
+  std::sort(added, records_.end(), order);
+  std::inplace_merge(records_.begin(), added, records_.end(), order);
+  sorted_ = records_.size();
   entity_ids_.clear();
   index_.clear();
   size_t start = 0;
@@ -115,6 +121,7 @@ size_t LocationDataset::FilterMinRecords(size_t min_records) {
     }
   }
   records_ = std::move(kept);
+  sorted_ = 0;
   finalized_ = false;
   Finalize();
   return removed_entities;

@@ -17,7 +17,10 @@ namespace slim {
 /// A location dataset. Mutation happens through Add(); before any read
 /// accessor is used the dataset must be finalized (records are sorted by
 /// (entity, timestamp) and the entity index is built). Finalize() is
-/// idempotent and called implicitly by the factory helpers.
+/// idempotent and called implicitly by the factory helpers. Add() after
+/// Finalize() is allowed: the next Finalize() sorts only the new records
+/// and merges them in, so a dataset that grows in rounds (the serve
+/// daemon's) reads exactly like FromRecords over all of them.
 class LocationDataset {
  public:
   LocationDataset() = default;
@@ -35,7 +38,8 @@ class LocationDataset {
   void Add(EntityId entity, const LatLng& location, int64_t timestamp);
   void Reserve(size_t n) { records_.reserve(n); }
 
-  /// Sorts records and rebuilds the entity index. Safe to call repeatedly.
+  /// Sorts records and rebuilds the entity index. Safe to call repeatedly;
+  /// records already sorted by an earlier call are not re-sorted.
   void Finalize();
   bool finalized() const { return finalized_; }
 
@@ -71,6 +75,8 @@ class LocationDataset {
 
   std::string name_;
   std::vector<Record> records_;
+  // records_[0, sorted_) is in Finalize() order; the rest was added since.
+  size_t sorted_ = 0;
   std::vector<EntityId> entity_ids_;
   // entity -> [first, last) positions in records_.
   std::unordered_map<EntityId, std::pair<size_t, size_t>> index_;

@@ -1,6 +1,11 @@
 #include "data/dataset.h"
 
+#include <algorithm>
+#include <vector>
+
 #include <gtest/gtest.h>
+
+#include "common/rng.h"
 
 namespace slim {
 namespace {
@@ -99,6 +104,89 @@ TEST(LocationDataset, AddAfterFinalizeRequiresRefinalize) {
   EXPECT_FALSE(ds.finalized());
   ds.Finalize();
   EXPECT_EQ(ds.num_entities(), 4u);
+}
+
+// Every read accessor of `grown` equals FromRecords over `all`.
+void ExpectReadsLikeFromRecords(const LocationDataset& grown,
+                                const std::vector<Record>& all) {
+  const LocationDataset fresh = LocationDataset::FromRecords("fresh", all);
+  EXPECT_EQ(grown.records(), fresh.records());
+  EXPECT_EQ(grown.entity_ids(), fresh.entity_ids());
+  for (const EntityId e : fresh.entity_ids()) {
+    const auto g = grown.RecordsOf(e);
+    const auto f = fresh.RecordsOf(e);
+    EXPECT_TRUE(std::equal(g.begin(), g.end(), f.begin(), f.end()))
+        << "entity " << e;
+  }
+}
+
+// A dataset grown in rounds of Add + Finalize (the serve daemon's pattern,
+// where Finalize merges each round into the sorted prefix) reads exactly
+// like FromRecords over every record added so far.
+TEST(LocationDataset, RoundsOfAddAndFinalizeEqualFromRecords) {
+  LocationDataset grown("grown");
+  std::vector<Record> all;
+  const auto add = [&](EntityId entity, double lat, int64_t timestamp) {
+    const Record r{entity, {lat, -122.0}, timestamp};
+    grown.Add(r);
+    all.push_back(r);
+  };
+  const auto finalize_and_compare = [&] {
+    grown.Finalize();
+    ExpectReadsLikeFromRecords(grown, all);
+  };
+  // Out of order within and across entities.
+  add(2, 37.1, 300);
+  add(1, 37.2, 100);
+  add(2, 37.3, 100);
+  add(1, 37.4, 200);
+  finalize_and_compare();
+  // A new entity (3), an exact duplicate of a round-1 record, and a
+  // timestamp tie on entity 2 broken by location.
+  add(3, 37.6, 10);
+  add(1, 37.2, 100);
+  add(2, 37.0, 300);
+  add(3, 37.5, 5);
+  finalize_and_compare();
+  // Entity 2's new records all sort before its old ones, and entity 0
+  // sorts before every existing entity.
+  add(2, 37.7, 50);
+  add(0, 37.8, 1000);
+  add(2, 37.9, 20);
+  finalize_and_compare();
+
+  EXPECT_EQ(grown.entity_ids(), (std::vector<EntityId>{0, 1, 2, 3}));
+  ASSERT_EQ(grown.RecordsOf(2).size(), 5u);
+  EXPECT_EQ(grown.RecordsOf(2).front().timestamp, 20);
+}
+
+// The same equality over seeded random rounds with dense ties: few
+// entities, few timestamps, few locations, and repeated records.
+TEST(LocationDataset, RandomRoundsOfAddAndFinalizeEqualFromRecords) {
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    LocationDataset grown("grown");
+    std::vector<Record> all;
+    const size_t num_rounds = 1 + rng.NextUint64(6);
+    for (size_t round = 0; round < num_rounds; ++round) {
+      const size_t size = rng.NextUint64(40);
+      for (size_t k = 0; k < size; ++k) {
+        Record r;
+        r.entity = static_cast<EntityId>(rng.NextUint64(6));
+        r.location = {static_cast<double>(rng.NextUint64(3)),
+                      static_cast<double>(rng.NextUint64(3))};
+        r.timestamp = static_cast<int64_t>(rng.NextUint64(8));
+        // A quarter of the records repeat an earlier one exactly.
+        if (!all.empty() && rng.NextUint64(4) == 0) {
+          r = all[rng.NextUint64(all.size())];
+        }
+        grown.Add(r);
+        all.push_back(r);
+      }
+      grown.Finalize();
+      ExpectReadsLikeFromRecords(grown, all);
+    }
+  }
 }
 
 TEST(LocationDataset, DeathOnUnfinalizedRead) {

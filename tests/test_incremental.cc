@@ -95,37 +95,70 @@ void ExpectBitIdentical(const LinkageResult& inc, const LinkageResult& batch,
   EXPECT_EQ(inc.candidate_pairs, batch.candidate_pairs) << what;
 }
 
+/// Record slices for two epochs in which the second arrives late: it
+/// holds the older half of the records (by timestamp rank), so existing
+/// entities gain records older than any the first epoch saw, plus every
+/// record of one entity held back from the first epoch.
+std::vector<std::vector<Record>> LateDataSchedule(const LocationDataset& side) {
+  const EntityId held_back = side.entity_ids().back();
+  const auto halves = SplitByTime(side.records(), 2);
+  std::vector<std::vector<Record>> out(2);
+  for (const Record& r : halves[1]) {
+    out[r.entity == held_back ? 1 : 0].push_back(r);
+  }
+  out[1].insert(out[1].end(), halves[0].begin(), halves[0].end());
+  return out;
+}
+
 struct IncrementalCase {
   CandidateKind candidates;
   int threads;
+  bool late_data = false;  // LateDataSchedule instead of 3 time slices
 };
 
 class IncrementalEqualsBatch
     : public ::testing::TestWithParam<IncrementalCase> {};
 
-// The tentpole property: every epoch of a three-epoch ingest schedule is
-// bit-identical to the from-scratch batch link over the union so far.
+// The serve contract: every epoch of an ingest schedule is bit-identical
+// to the from-scratch batch link over the union so far, whether the
+// records arrive in time order or late.
 TEST_P(IncrementalEqualsBatch, EpochsMatchBatchOnUnion) {
   const IncrementalCase param = GetParam();
   const SlimConfig config = MakeConfig(param.candidates, param.threads);
   const LinkedPairSample s = CabSample();
-  const auto parts_a = SplitByTime(s.a.records(), 3);
-  const auto parts_b = SplitByTime(s.b.records(), 3);
+  const auto parts_a = param.late_data ? LateDataSchedule(s.a)
+                                       : SplitByTime(s.a.records(), 3);
+  const auto parts_b = param.late_data ? LateDataSchedule(s.b)
+                                       : SplitByTime(s.b.records(), 3);
+  if (param.late_data) {
+    // The schedule is late for real: epoch 2 brings a new entity and
+    // records older than all of epoch 1's.
+    const auto oldest = [](const std::vector<Record>& records) {
+      int64_t t = records.front().timestamp;
+      for (const Record& r : records) t = std::min(t, r.timestamp);
+      return t;
+    };
+    ASSERT_LT(oldest(parts_a[1]), oldest(parts_a[0]));
+    ASSERT_LT(oldest(parts_b[1]), oldest(parts_b[0]));
+    const EntityId held_back = s.a.entity_ids().back();
+    for (const Record& r : parts_a[0]) ASSERT_NE(r.entity, held_back);
+  }
 
   IncrementalLinker linker(config);
   std::vector<Record> union_a, union_b;
-  for (int e = 0; e < 3; ++e) {
+  for (size_t e = 0; e < parts_a.size(); ++e) {
     union_a.insert(union_a.end(), parts_a[e].begin(), parts_a[e].end());
     union_b.insert(union_b.end(), parts_b[e].begin(), parts_b[e].end());
     linker.Ingest(LinkageSide::kE, parts_a[e]);
     linker.Ingest(LinkageSide::kI, parts_b[e]);
     auto epoch = linker.LinkEpoch();
     ASSERT_TRUE(epoch.ok()) << epoch.status().ToString();
-    EXPECT_EQ(epoch->epoch, e + 1);
+    EXPECT_EQ(epoch->epoch, static_cast<int>(e) + 1);
     const LinkageResult batch = BatchLink(config, union_a, union_b);
     ExpectBitIdentical(epoch->linkage, batch,
                        ("epoch " + std::to_string(e + 1)).c_str());
     EXPECT_EQ(linker.links(), batch.links);
+    EXPECT_FALSE(batch.links.empty());
   }
 }
 
@@ -136,10 +169,17 @@ INSTANTIATE_TEST_SUITE_P(
                       IncrementalCase{CandidateKind::kBruteForce, 1},
                       IncrementalCase{CandidateKind::kBruteForce, 8},
                       IncrementalCase{CandidateKind::kGrid, 1},
-                      IncrementalCase{CandidateKind::kGrid, 8}),
+                      IncrementalCase{CandidateKind::kGrid, 8},
+                      IncrementalCase{CandidateKind::kLsh, 1, true},
+                      IncrementalCase{CandidateKind::kLsh, 8, true},
+                      IncrementalCase{CandidateKind::kBruteForce, 1, true},
+                      IncrementalCase{CandidateKind::kBruteForce, 8, true},
+                      IncrementalCase{CandidateKind::kGrid, 1, true},
+                      IncrementalCase{CandidateKind::kGrid, 8, true}),
     [](const ::testing::TestParamInfo<IncrementalCase>& info) {
       return std::string(CandidateKindName(info.param.candidates)) +
-             "_threads" + std::to_string(info.param.threads);
+             "_threads" + std::to_string(info.param.threads) +
+             (info.param.late_data ? "_late_data" : "");
     });
 
 // One-sided epochs (only A ingested, B empty) must behave like the batch

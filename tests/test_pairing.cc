@@ -118,6 +118,79 @@ TEST_P(PairingProperty, GreedyPrefixOrderingHolds) {
 INSTANTIATE_TEST_SUITE_P(Seeds, PairingProperty,
                          ::testing::Range<uint64_t>(1, 16));
 
+// The fused pairing the scoring engine runs. On [[5, 5], [5, 1]] its
+// furthest pairing breaks the three-way tie at 5 toward the larger
+// row-major index and selects {5, 5}; the reference selects {5, 1}.
+TEST(MutualNearestAndFurthestPairs, PinnedTieRule) {
+  const std::vector<double> d = {5.0, 5.0,   // row 0
+                                 5.0, 1.0};  // row 1
+  const MutualPairing fused = MutualNearestAndFurthestPairs(d, 2, 2, true);
+  EXPECT_EQ(fused.nearest, MutuallyNearestPairs(d, 2, 2));
+  EXPECT_EQ(fused.nearest, (std::vector<BinPair>{{1, 1}, {0, 0}}));
+  EXPECT_EQ(fused.furthest, (std::vector<BinPair>{{1, 0}, {0, 1}}));
+  EXPECT_EQ(MutuallyFurthestPairs(d, 2, 2),
+            (std::vector<BinPair>{{0, 0}, {1, 1}}));
+  EXPECT_TRUE(MutualNearestAndFurthestPairs(d, 2, 2, false).furthest.empty());
+}
+
+// Greedy disjoint pairs over (distance desc, row-major index desc): the
+// furthest rule the fused function documents for windows larger than
+// 1xN / Mx1.
+std::vector<BinPair> FurthestLargerIndexFirst(const std::vector<double>& d,
+                                              size_t m, size_t n) {
+  std::vector<size_t> order(m * n);
+  for (size_t k = 0; k < order.size(); ++k) order[k] = k;
+  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    if (d[a] != d[b]) return d[a] > d[b];
+    return a > b;
+  });
+  std::vector<char> row_used(m, 0), col_used(n, 0);
+  std::vector<BinPair> out;
+  for (const size_t k : order) {
+    if (row_used[k / n] || col_used[k % n]) continue;
+    row_used[k / n] = col_used[k % n] = 1;
+    out.emplace_back(k / n, k % n);
+  }
+  return out;
+}
+
+// Seeded sweep over 1-6 x 1-6 matrices, half drawn from four values so
+// ties are dense: `nearest` always equals the reference; `furthest` equals
+// it on distinct distances and in every 1xN / Mx1 window, and otherwise
+// follows the larger-index tie rule.
+TEST(MutualNearestAndFurthestPairs, MatchesTheReferencesUpToTheTieRule) {
+  Rng rng(2024);
+  size_t tied_differences = 0;
+  for (int trial = 0; trial < 20000; ++trial) {
+    const size_t m = 1 + rng.NextUint64(6);
+    const size_t n = 1 + rng.NextUint64(6);
+    const bool heavy_ties = trial % 2 == 0;
+    std::vector<double> d(m * n);
+    for (auto& x : d) {
+      x = heavy_ties ? static_cast<double>(rng.NextUint64(4))
+                     : rng.NextDouble(0.0, 100.0);
+    }
+    std::vector<double> sorted = d;
+    std::sort(sorted.begin(), sorted.end());
+    const bool distinct =
+        std::adjacent_find(sorted.begin(), sorted.end()) == sorted.end();
+
+    const MutualPairing fused = MutualNearestAndFurthestPairs(d, m, n, true);
+    ASSERT_EQ(fused.nearest, MutuallyNearestPairs(d, m, n))
+        << "trial " << trial;
+    const std::vector<BinPair> reference = MutuallyFurthestPairs(d, m, n);
+    if (distinct || m == 1 || n == 1) {
+      ASSERT_EQ(fused.furthest, reference) << "trial " << trial;
+    } else {
+      ASSERT_EQ(fused.furthest, FurthestLargerIndexFirst(d, m, n))
+          << "trial " << trial;
+      if (fused.furthest != reference) ++tied_differences;
+    }
+  }
+  // The tie rule is observable, not a formality.
+  EXPECT_GT(tied_differences, 0u);
+}
+
 TEST(Pairing, DiesOnShapeMismatch) {
   EXPECT_DEATH(MutuallyNearestPairs({1.0, 2.0}, 2, 2), "shape");
 }
