@@ -53,21 +53,13 @@ std::vector<BinPair> MutuallyFurthestPairs(const std::vector<double>& dist,
   return GreedyDisjointPairs(dist, m, n, /*nearest=*/false);
 }
 
-std::vector<BinPair> AllPairs(size_t m, size_t n) {
-  std::vector<BinPair> result;
-  result.reserve(m * n);
-  for (size_t r = 0; r < m; ++r) {
-    for (size_t c = 0; c < n; ++c) result.emplace_back(r, c);
-  }
-  return result;
-}
-
-MutualPairing MutualNearestAndFurthestPairs(const std::vector<double>& dist,
-                                            size_t m, size_t n,
-                                            bool need_furthest) {
+void MutualNearestAndFurthestPairs(std::span<const double> dist, size_t m,
+                                   size_t n, bool need_furthest,
+                                   MutualPairing* out) {
   SLIM_CHECK_MSG(dist.size() == m * n, "distance matrix shape mismatch");
-  MutualPairing out;
-  if (m == 0 || n == 0) return out;
+  out->nearest.clear();
+  out->furthest.clear();
+  if (m == 0 || n == 0) return;
 
   // Fast path: one bin on either side — nearest is the argmin, furthest
   // the argmax; no sort.
@@ -77,14 +69,15 @@ MutualPairing MutualNearestAndFurthestPairs(const std::vector<double>& dist,
       if (dist[k] < dist[arg_min]) arg_min = k;
       if (dist[k] > dist[arg_max]) arg_max = k;
     }
-    out.nearest.emplace_back(arg_min / n, arg_min % n);
-    if (need_furthest) out.furthest.emplace_back(arg_max / n, arg_max % n);
-    return out;
+    out->nearest.emplace_back(arg_min / n, arg_min % n);
+    if (need_furthest) out->furthest.emplace_back(arg_max / n, arg_max % n);
+    return;
   }
 
   // One shared ascending sort serves both pairings: nearest consumes it
   // front-to-back, furthest back-to-front.
-  std::vector<uint32_t> order(m * n);
+  std::vector<uint32_t>& order = out->order;
+  order.resize(m * n);
   for (size_t k = 0; k < order.size(); ++k) {
     order[k] = static_cast<uint32_t>(k);
   }
@@ -94,32 +87,32 @@ MutualPairing MutualNearestAndFurthestPairs(const std::vector<double>& dist,
   });
 
   const size_t want = std::min(m, n);
-  std::vector<char> row_used(m, 0), col_used(n, 0);
-  out.nearest.reserve(want);
+  std::vector<char>& row_used = out->row_used;
+  std::vector<char>& col_used = out->col_used;
+  row_used.assign(m, 0);
+  col_used.assign(n, 0);
   for (uint32_t k : order) {
     const size_t r = k / n;
     const size_t c = k % n;
     if (row_used[r] || col_used[c]) continue;
     row_used[r] = 1;
     col_used[c] = 1;
-    out.nearest.emplace_back(r, c);
-    if (out.nearest.size() == want) break;
+    out->nearest.emplace_back(r, c);
+    if (out->nearest.size() == want) break;
   }
   if (need_furthest) {
-    std::fill(row_used.begin(), row_used.end(), 0);
-    std::fill(col_used.begin(), col_used.end(), 0);
-    out.furthest.reserve(want);
+    row_used.assign(m, 0);
+    col_used.assign(n, 0);
     for (auto it = order.rbegin(); it != order.rend(); ++it) {
       const size_t r = *it / n;
       const size_t c = *it % n;
       if (row_used[r] || col_used[c]) continue;
       row_used[r] = 1;
       col_used[c] = 1;
-      out.furthest.emplace_back(r, c);
-      if (out.furthest.size() == want) break;
+      out->furthest.emplace_back(r, c);
+      if (out->furthest.size() == want) break;
     }
   }
-  return out;
 }
 
 }  // namespace slim

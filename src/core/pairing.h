@@ -8,15 +8,17 @@
 // N'_w(u, v) — mutually-furthest pairing: same procedure with the largest
 //              distance; used only to catch alibi pairs the nearest pairing
 //              misses (Alg. 1's optional inner loop).
-// All-pairs  — the Cartesian product, kept as the ablation alternative the
-//              evaluation compares against (Fig. 10).
 //
 // All functions consume a precomputed row-major distance matrix so the
 // similarity engine computes each cell distance exactly once per window.
+// (The all-pairs ablation of Fig. 10 needs no pairing function: the engine
+// walks the window's Cartesian product in row-major order.)
 #ifndef SLIM_CORE_PAIRING_H_
 #define SLIM_CORE_PAIRING_H_
 
 #include <cstddef>
+#include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -35,9 +37,6 @@ std::vector<BinPair> MutuallyNearestPairs(const std::vector<double>& dist,
 std::vector<BinPair> MutuallyFurthestPairs(const std::vector<double>& dist,
                                            size_t m, size_t n);
 
-/// The full Cartesian product (ablation baseline).
-std::vector<BinPair> AllPairs(size_t m, size_t n);
-
 /// Both pairings from one shared sort of the distance matrix — the scoring
 /// hot path (Alg. 1 needs N and N' for every common window), and the only
 /// pairing the similarity engine runs. Fast paths handle the ubiquitous
@@ -52,13 +51,22 @@ std::vector<BinPair> AllPairs(size_t m, size_t n);
 /// different distances, not just different cells: on [[5, 5], [5, 1]] the
 /// reference selects {5, 1} and this function {5, 5}, at (1, 0) and
 /// (0, 1). Scores (and the goldens) follow this function's rule.
+///
+/// The result lands in caller-owned storage. Keep one MutualPairing per
+/// worker thread and reuse it: its vectors keep their capacity, so a warm
+/// instance pairs a window without allocating. Every call overwrites
+/// `nearest` and `furthest` (`furthest` stays empty unless
+/// `need_furthest`); `order`, `row_used` and `col_used` are scratch.
 struct MutualPairing {
   std::vector<BinPair> nearest;
   std::vector<BinPair> furthest;
+  std::vector<uint32_t> order;  // ascending (distance, row-major index)
+  std::vector<char> row_used;
+  std::vector<char> col_used;
 };
-MutualPairing MutualNearestAndFurthestPairs(const std::vector<double>& dist,
-                                            size_t m, size_t n,
-                                            bool need_furthest);
+void MutualNearestAndFurthestPairs(std::span<const double> dist, size_t m,
+                                   size_t n, bool need_furthest,
+                                   MutualPairing* out);
 
 }  // namespace slim
 

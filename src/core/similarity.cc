@@ -1,11 +1,63 @@
 #include "core/similarity.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/check.h"
-#include "core/pairing.h"
+#include "common/parallel.h"
 
 namespace slim {
+namespace {
+
+// Writes every bin's cell rank among the vocabulary's distinct cells
+// (ascending raw id) into *index and returns those cells. Returns no cells
+// (and leaves *index empty) as soon as more than `max_cells` distinct
+// cells occur. One flat pass: an open-addressing set, sized for
+// max_cells, numbers the cells in first-seen order; the ranks then come
+// from sorting the K distinct cells.
+std::vector<CellId> IndexCells(const BinVocabulary& vocab, size_t max_cells,
+                               std::vector<uint16_t>* index) {
+  constexpr uint32_t kEmpty = ~uint32_t{0};
+  const size_t capacity = std::bit_ceil(4 * max_cells);
+  const int shift = 64 - std::countr_zero(capacity);
+  std::vector<uint64_t> keys(capacity);
+  std::vector<uint32_t> ids(capacity, kEmpty);
+  std::vector<CellId> cells;  // first-seen order
+  index->resize(vocab.size());
+  for (BinId b = 0; b < vocab.size(); ++b) {
+    const uint64_t raw = vocab.cell(b).raw();
+    size_t slot = static_cast<size_t>((raw * 0x9e3779b97f4a7c15ULL) >> shift);
+    while (ids[slot] != kEmpty && keys[slot] != raw) {
+      slot = (slot + 1) & (capacity - 1);
+    }
+    if (ids[slot] == kEmpty) {
+      if (cells.size() == max_cells) {
+        index->clear();
+        return {};
+      }
+      keys[slot] = raw;
+      ids[slot] = static_cast<uint32_t>(cells.size());
+      cells.push_back(vocab.cell(b));
+    }
+    (*index)[b] = static_cast<uint16_t>(ids[slot]);
+  }
+
+  std::vector<uint32_t> by_raw(cells.size());
+  for (uint32_t k = 0; k < by_raw.size(); ++k) by_raw[k] = k;
+  std::sort(by_raw.begin(), by_raw.end(), [&](uint32_t a, uint32_t b) {
+    return cells[a].raw() < cells[b].raw();
+  });
+  std::vector<uint16_t> rank(cells.size());
+  std::vector<CellId> sorted(cells.size());
+  for (uint32_t r = 0; r < by_raw.size(); ++r) {
+    rank[by_raw[r]] = static_cast<uint16_t>(r);
+    sorted[r] = cells[by_raw[r]];
+  }
+  for (uint16_t& id : *index) id = rank[id];
+  return sorted;
+}
+
+}  // namespace
 
 SimilarityEngine::SimilarityEngine(const LinkageContext& context,
                                    const SimilarityConfig& config)
@@ -22,6 +74,43 @@ SimilarityEngine::SimilarityEngine(const LinkageContext& context,
       norm_i_[v] = ctx_.store_i.LengthNorm(v, config_.b);
     }
   }
+
+  // The table costs K(K+1)/2 distances whatever the link then scores, so
+  // the engine builds it only when K is at most kCellDistanceTableMaxCells
+  // and the fill computes no more distances than the vocabulary has bins:
+  // a small problem (a tiny link, an early serve epoch) would pay more for
+  // the fill than its lookups cost. Otherwise it keeps no table and scores
+  // through the caller's per-worker CellDistanceCache; that memo path is
+  // the only one that runs on wide-area inputs, where a K^2 table does not
+  // fit.
+  size_t max_cells = kCellDistanceTableMaxCells;
+  while (max_cells * (max_cells + 1) / 2 > ctx_.vocab.size()) --max_cells;
+  if (max_cells == 0) return;
+  const std::vector<CellId> cells =
+      IndexCells(ctx_.vocab, max_cells, &cell_index_);
+  num_cells_ = cells.size();
+  if (num_cells_ == 0) return;
+  // The upper triangle (cells sorted by raw id, so row < column puts the
+  // smaller raw id first), mirrored. Work item p fills rows p and K-1-p,
+  // K+1 entries per item, so the contiguous shards stay balanced.
+  const size_t k_cells = num_cells_;
+  cell_table_.resize(k_cells * k_cells);
+  CellPairEntry* table = cell_table_.data();
+  auto fill_row = [&](size_t r) {
+    for (size_t c = r; c < k_cells; ++c) {
+      const double d = MinDistanceMeters(cells[r], cells[c]);
+      const CellPairEntry entry{
+          d, SpatialProximity(d, runaway_m_, config_.proximity.clamp_epsilon)};
+      table[r * k_cells + c] = entry;
+      table[c * k_cells + r] = entry;
+    }
+  };
+  ParallelFor((k_cells + 1) / 2, [&](size_t begin, size_t end, int) {
+    for (size_t p = begin; p < end; ++p) {
+      fill_row(p);
+      if (k_cells - 1 - p != p) fill_row(k_cells - 1 - p);
+    }
+  });
 }
 
 double SimilarityEngine::Score(EntityId u, EntityId v, SimilarityStats* stats,
@@ -82,6 +171,10 @@ double SimilarityEngine::ScoreIndexed(EntityIdx u, EntityIdx v,
       config_.use_normalization ? norm_e_[u] * norm_i_[v] : 1.0;
 
   const BinVocabulary& vocab = ctx_.vocab;
+  const CellPairEntry* table =
+      cell_table_.empty() ? nullptr : cell_table_.data();
+  const uint16_t* cell_of = cell_index_.data();
+  const size_t k_cells = num_cells_;
   const BinId* bins_e = se.bin_ids().data();
   const BinId* bins_i = si.bin_ids().data();
   const double* idf_e = config_.use_idf ? se.idf_values().data() : nullptr;
@@ -109,12 +202,20 @@ double SimilarityEngine::ScoreIndexed(EntityIdx u, EntityIdx v,
       // A single cross-cell bin pair: the pairing is forced (it is both
       // the mutual-nearest and the all-pairs set), so skip the matrix and
       // pairing machinery.
-      const CellId cell_u = vocab.cell(bu);
-      const CellId cell_v = vocab.cell(bv);
-      const double d = cache != nullptr ? cache->Get(cell_u, cell_v)
-                                        : MinDistanceMeters(cell_u, cell_v);
-      const double p =
-          SpatialProximity(d, runaway_m_, config_.proximity.clamp_epsilon);
+      double d, p;
+      if (table != nullptr) {
+        const CellPairEntry& entry =
+            table[cell_of[bu] * k_cells + cell_of[bv]];
+        d = entry.distance;
+        p = entry.proximity;
+        ++stats->cache_hits;
+      } else {
+        const CellId cell_u = vocab.cell(bu);
+        const CellId cell_v = vocab.cell(bv);
+        d = cache != nullptr ? cache->Get(cell_u, cell_v)
+                             : MinDistanceMeters(cell_u, cell_v);
+        p = SpatialProximity(d, runaway_m_, config_.proximity.clamp_epsilon);
+      }
       if (IsAlibi(d, runaway_m_)) ++stats->alibi_pairs;
       const double idf =
           config_.use_idf ? std::min(idf_e[bu], idf_i[bv]) : 1.0;
@@ -126,43 +227,58 @@ double SimilarityEngine::ScoreIndexed(EntityIdx u, EntityIdx v,
     // the N and N' passes.
     s.dist.resize(m * n);
     double* dist = s.dist.data();
-    for (size_t r = 0; r < m; ++r) {
-      const CellId cell_u = vocab.cell(bins_e[ub + r]);
-      for (size_t c = 0; c < n; ++c) {
-        const CellId cell_v = vocab.cell(bins_i[vb + c]);
-        dist[r * n + c] = cache != nullptr ? cache->Get(cell_u, cell_v)
-                                           : MinDistanceMeters(cell_u, cell_v);
+    if (table != nullptr) {
+      for (size_t r = 0; r < m; ++r) {
+        const CellPairEntry* row = table + cell_of[bins_e[ub + r]] * k_cells;
+        for (size_t c = 0; c < n; ++c) {
+          dist[r * n + c] = row[cell_of[bins_i[vb + c]]].distance;
+        }
+      }
+      stats->cache_hits += static_cast<uint64_t>(m) * n;
+    } else {
+      for (size_t r = 0; r < m; ++r) {
+        const CellId cell_u = vocab.cell(bins_e[ub + r]);
+        for (size_t c = 0; c < n; ++c) {
+          const CellId cell_v = vocab.cell(bins_i[vb + c]);
+          dist[r * n + c] = cache != nullptr
+                                ? cache->Get(cell_u, cell_v)
+                                : MinDistanceMeters(cell_u, cell_v);
+        }
       }
     }
     stats->record_comparisons += static_cast<uint64_t>(m) * n;
 
     // Contribution of one bin pair, per Eq. 2.
     auto contribution = [&](size_t r, size_t c) {
+      const BinId bu = bins_e[ub + r];
+      const BinId bv = bins_i[vb + c];
       const double d = dist[r * n + c];
       const double p =
-          SpatialProximity(d, runaway_m_, config_.proximity.clamp_epsilon);
+          table != nullptr
+              ? table[cell_of[bu] * k_cells + cell_of[bv]].proximity
+              : SpatialProximity(d, runaway_m_,
+                                 config_.proximity.clamp_epsilon);
       if (IsAlibi(d, runaway_m_)) ++stats->alibi_pairs;
-      double idf = 1.0;
-      if (config_.use_idf) {
-        idf = std::min(idf_e[bins_e[ub + r]], idf_i[bins_i[vb + c]]);
-      }
+      const double idf =
+          config_.use_idf ? std::min(idf_e[bu], idf_i[bv]) : 1.0;
       return p * idf / norm;
     };
 
     if (config_.pairing == PairingKind::kAllPairs) {
-      for (const auto& [r, c] : AllPairs(m, n)) score += contribution(r, c);
+      for (size_t r = 0; r < m; ++r) {
+        for (size_t c = 0; c < n; ++c) score += contribution(r, c);
+      }
     } else {
-      const bool run_mfn = config_.use_mfn;
-      const MutualPairing pairing =
-          MutualNearestAndFurthestPairs(s.dist, m, n, run_mfn);
+      MutualNearestAndFurthestPairs({dist, m * n}, m, n, config_.use_mfn,
+                                    &s.pairing);
       s.in_mnn.assign(m * n, 0);
-      for (const auto& [r, c] : pairing.nearest) {
+      for (const auto& [r, c] : s.pairing.nearest) {
         s.in_mnn[r * n + c] = 1;
         score += contribution(r, c);
       }
       // Alg. 1: add mutually-furthest pairs only when they are alibis
       // (negative delta) and not already counted by N.
-      for (const auto& [r, c] : pairing.furthest) {
+      for (const auto& [r, c] : s.pairing.furthest) {
         if (s.in_mnn[r * n + c]) continue;
         const double delta = contribution(r, c);
         if (delta < 0.0) score += delta;

@@ -7,8 +7,20 @@
 // contributions (alibis) the nearest pairing missed. The engine runs on the
 // dense interned representation (core/linkage_context.h): per-entity CSR
 // bin spans, flat IDF arrays indexed by BinId, and precomputed length
-// normalisations — no hash-map lookup anywhere on the scoring path. It also
-// keeps the instrumentation the evaluation reports: number of bin-pair
+// normalisations. Cell distances come from one of two places, chosen by
+// the engine from the vocabulary's distinct-cell count K:
+//
+//   table — K <= kCellDistanceTableMaxCells and K(K+1)/2 <= the
+//           vocabulary's bin count: the engine interns the cells once (a
+//           dense cell index per BinId) and fills one shared, read-only
+//           K x K table of MinDistanceMeters and its Eq. 1 proximity;
+//           scoring reads it.
+//   memo  — otherwise (wide-area inputs, where K^2 does not fit, and
+//           problems too small to repay the fill): the caller's
+//           per-worker CellDistanceCache (geo/distance_cache.h).
+//
+// Both yield the same bits, so the path never changes a score. The engine
+// also keeps the instrumentation the evaluation reports: number of bin-pair
 // distance computations ("record comparisons") and number of alibi pairs
 // detected.
 #ifndef SLIM_CORE_SIMILARITY_H_
@@ -18,6 +30,7 @@
 #include <vector>
 
 #include "core/linkage_context.h"
+#include "core/pairing.h"
 #include "core/proximity.h"
 #include "core/score_kernel.h"
 #include "geo/distance_cache.h"
@@ -64,13 +77,16 @@ struct SimilarityStats {
   uint64_t alibi_pairs = 0;
   /// Entity pairs scored.
   uint64_t entity_pairs = 0;
-  /// CellDistanceCache hits/misses over the scoring loop. NOTE: the split
-  /// between hits and misses depends on how entities shard over worker
-  /// threads (each shard warms its own cache), so unlike every other
-  /// counter these are NOT invariant across thread counts — only
-  /// hits + misses is. (Same-bin pairs are scored without a cache lookup —
-  /// their distance is 0 by construction — so hits + misses counts the
-  /// distance-computed bin pairs, a subset of record_comparisons.)
+  /// Cell-distance lookups over the scoring loop. hits + misses counts the
+  /// distance-computed bin pairs: record_comparisons minus the 1x1
+  /// same-bin pairs, which are scored without a lookup (their distance is
+  /// 0 by construction). On the table path the engine counts every table
+  /// read as a hit and makes no MinDistanceMeters call, so misses stay 0.
+  /// On the memo path the scoring loop adds its CellDistanceCache's
+  /// hits/misses; there the split depends on how entities shard over
+  /// worker threads (each shard warms its own cache), so unlike every other
+  /// counter it is NOT invariant across thread counts — only hits + misses
+  /// is.
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
 
@@ -93,7 +109,14 @@ struct ScoreScratch {
   std::vector<uint32_t> match_b;  // window-intersection positions, right
   std::vector<double> dist;       // per-window distance matrix
   std::vector<char> in_mnn;       // MNN membership mask
+  MutualPairing pairing;          // per-window N / N' pairs and buffers
 };
+
+/// Largest distinct-cell count K for which SimilarityEngine fills its
+/// dense K x K cell-distance table: 16 MB (a distance and a proximity per
+/// entry) and 524,800 MinDistanceMeters calls at the limit. The engine
+/// also requires K(K+1)/2 to be at most the vocabulary's bin count.
+inline constexpr size_t kCellDistanceTableMaxCells = 1024;
 
 /// Scores pairs of entities across the two stores of a LinkageContext
 /// (dataset E on the left, dataset I on the right). Thread-safe: scoring is
@@ -101,16 +124,19 @@ struct ScoreScratch {
 /// stats/cache/scratch.
 class SimilarityEngine {
  public:
-  /// The context must outlive the engine.
+  /// The context must outlive the engine. On the table path (see the file
+  /// comment) builds the cell index and the distance table, its rows
+  /// filled in parallel on the shared pool.
   SimilarityEngine(const LinkageContext& context,
                    const SimilarityConfig& config);
 
   const SimilarityConfig& config() const { return config_; }
 
   /// S(u, v) per Eq. 2 over dense indices (u into store_e, v into store_i).
-  /// `cache` memoises cell distances across calls (pass one per worker
-  /// thread); nullptr computes distances directly. `scratch` provides the
-  /// reusable buffers (one per worker thread); nullptr allocates locally.
+  /// `cache` memoises cell distances across calls on the memo path (pass
+  /// one per worker thread); nullptr computes distances directly. The
+  /// table path ignores it. `scratch` provides the reusable buffers (one
+  /// per worker thread); nullptr allocates locally.
   double ScoreIndexed(EntityIdx u, EntityIdx v, SimilarityStats* stats,
                       CellDistanceCache* cache = nullptr,
                       ScoreScratch* scratch = nullptr) const;
@@ -128,6 +154,21 @@ class SimilarityEngine {
   // disabled or a side is empty).
   std::vector<double> norm_e_;
   std::vector<double> norm_i_;
+  // The table path: every BinId's cell as its rank among the vocabulary's
+  // distinct cells (ascending raw id), and the symmetric row-major
+  // num_cells_ x num_cells_ table over those cells. Each entry holds
+  // MinDistanceMeters with the smaller raw id first (the order
+  // CellDistanceCache uses) and its SpatialProximity under runaway_m_.
+  // Both empty on the memo path.
+  struct CellPairEntry {
+    double distance;
+    double proximity;
+  };
+  static_assert(kCellDistanceTableMaxCells <= 65536,
+                "cell ranks must fit the 16-bit cell index");
+  std::vector<uint16_t> cell_index_;
+  std::vector<CellPairEntry> cell_table_;
+  size_t num_cells_ = 0;
 };
 
 }  // namespace slim

@@ -52,13 +52,6 @@ TEST(MutuallyFurthestPairs, PicksGlobalMaximumFirst) {
   EXPECT_EQ(pairs[1], (BinPair{0, 0}));
 }
 
-TEST(AllPairs, FullCartesianProduct) {
-  const auto pairs = AllPairs(2, 3);
-  EXPECT_EQ(pairs.size(), 6u);
-  std::set<BinPair> unique(pairs.begin(), pairs.end());
-  EXPECT_EQ(unique.size(), 6u);
-}
-
 TEST(Pairing, DeterministicUnderTies) {
   const std::vector<double> d(9, 1.0);  // all equal
   const auto p1 = MutuallyNearestPairs(d, 3, 3);
@@ -120,17 +113,25 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PairingProperty,
 
 // The fused pairing the scoring engine runs. On [[5, 5], [5, 1]] its
 // furthest pairing breaks the three-way tie at 5 toward the larger
-// row-major index and selects {5, 5}; the reference selects {5, 1}.
+// row-major index and selects {5, 5}; the reference selects {5, 1}. The
+// calls share one MutualPairing, as a scoring worker does.
 TEST(MutualNearestAndFurthestPairs, PinnedTieRule) {
   const std::vector<double> d = {5.0, 5.0,   // row 0
                                  5.0, 1.0};  // row 1
-  const MutualPairing fused = MutualNearestAndFurthestPairs(d, 2, 2, true);
+  MutualPairing fused;
+  MutualNearestAndFurthestPairs(d, 2, 2, true, &fused);
   EXPECT_EQ(fused.nearest, MutuallyNearestPairs(d, 2, 2));
   EXPECT_EQ(fused.nearest, (std::vector<BinPair>{{1, 1}, {0, 0}}));
   EXPECT_EQ(fused.furthest, (std::vector<BinPair>{{1, 0}, {0, 1}}));
   EXPECT_EQ(MutuallyFurthestPairs(d, 2, 2),
             (std::vector<BinPair>{{0, 0}, {1, 1}}));
-  EXPECT_TRUE(MutualNearestAndFurthestPairs(d, 2, 2, false).furthest.empty());
+  MutualNearestAndFurthestPairs(d, 2, 2, false, &fused);
+  EXPECT_EQ(fused.nearest, (std::vector<BinPair>{{1, 1}, {0, 0}}));
+  EXPECT_TRUE(fused.furthest.empty());
+  // An empty side clears what the previous call left.
+  MutualNearestAndFurthestPairs({}, 0, 2, true, &fused);
+  EXPECT_TRUE(fused.nearest.empty());
+  EXPECT_TRUE(fused.furthest.empty());
 }
 
 // Greedy disjoint pairs over (distance desc, row-major index desc): the
@@ -157,9 +158,12 @@ std::vector<BinPair> FurthestLargerIndexFirst(const std::vector<double>& d,
 // Seeded sweep over 1-6 x 1-6 matrices, half drawn from four values so
 // ties are dense: `nearest` always equals the reference; `furthest` equals
 // it on distinct distances and in every 1xN / Mx1 window, and otherwise
-// follows the larger-index tie rule.
+// follows the larger-index tie rule. One MutualPairing serves all 20,000
+// matrices, so the buffers a larger window leaves behind must not leak
+// into a smaller one.
 TEST(MutualNearestAndFurthestPairs, MatchesTheReferencesUpToTheTieRule) {
   Rng rng(2024);
+  MutualPairing fused;
   size_t tied_differences = 0;
   for (int trial = 0; trial < 20000; ++trial) {
     const size_t m = 1 + rng.NextUint64(6);
@@ -175,7 +179,7 @@ TEST(MutualNearestAndFurthestPairs, MatchesTheReferencesUpToTheTieRule) {
     const bool distinct =
         std::adjacent_find(sorted.begin(), sorted.end()) == sorted.end();
 
-    const MutualPairing fused = MutualNearestAndFurthestPairs(d, m, n, true);
+    MutualNearestAndFurthestPairs(d, m, n, true, &fused);
     ASSERT_EQ(fused.nearest, MutuallyNearestPairs(d, m, n))
         << "trial " << trial;
     const std::vector<BinPair> reference = MutuallyFurthestPairs(d, m, n);
@@ -193,6 +197,9 @@ TEST(MutualNearestAndFurthestPairs, MatchesTheReferencesUpToTheTieRule) {
 
 TEST(Pairing, DiesOnShapeMismatch) {
   EXPECT_DEATH(MutuallyNearestPairs({1.0, 2.0}, 2, 2), "shape");
+  MutualPairing fused;
+  const std::vector<double> d = {1.0, 2.0};
+  EXPECT_DEATH(MutualNearestAndFurthestPairs(d, 2, 2, true, &fused), "shape");
 }
 
 }  // namespace

@@ -11,15 +11,21 @@
 //      all-shared, short tails, extreme values);
 //   2. engine-level differentials: SimilarityEngine scores on a generated
 //      linkage problem must agree bitwise between the shared scratch and
-//      the call-local fallback, on every ablation config;
+//      the call-local fallback, on every ablation config, and with a
+//      test-local Eq. 2 reference on both cell-distance paths (the dense
+//      table and the per-worker cache, taken for either of its two
+//      reasons);
 //   3. seeded fuzz-style *_Stress cases (larger iteration counts in
 //      Release) that print their seed on failure — rerun with
 //      SLIM_KERNEL_STRESS_SEED=<seed> to replay a single failing draw.
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstdlib>
 #include <limits>
+#include <map>
 #include <random>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -334,6 +340,227 @@ TEST(ScoreKernelEngine, AblationConfigsMatchWithAndWithoutScratch) {
     EXPECT_EQ(stats.alibi_pairs, ref_stats.alibi_pairs);
     EXPECT_EQ(stats.entity_pairs, ref_stats.entity_pairs);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Both distance paths against an independent Eq. 2 reference. The engine
+// reads cell distances from its dense table when the vocabulary has at most
+// kCellDistanceTableMaxCells distinct cells and at least K(K+1)/2 bins, and
+// from the caller's CellDistanceCache otherwise; either way every score
+// must carry the bits of a direct computation.
+// ---------------------------------------------------------------------------
+
+using WindowBins = std::map<int64_t, std::vector<BinId>>;
+
+// Each entity's bins grouped by window, from vocab.window() alone.
+std::vector<WindowBins> GroupByWindow(const LinkageContext& ctx,
+                                      const HistoryStore& store) {
+  std::vector<WindowBins> out(store.size());
+  for (EntityIdx u = 0; u < store.size(); ++u) {
+    for (const BinId b : store.bins(u)) {
+      out[u][ctx.vocab.window(b)].push_back(b);
+    }
+  }
+  return out;
+}
+
+// Test-local Eq. 2: bins grouped per window (GroupByWindow), direct
+// MinDistanceMeters in canonical order (smaller raw id first),
+// SpatialProximity, the fused pairing, and the engine's summation order
+// (windows ascending; N's pairs in selection order, then N''s alibis; the
+// all-pairs ablation in row-major order). Also counts the bin pairs whose
+// distance it computes outside a 1x1 same-bin window (`lookups`).
+struct ReferenceCounts {
+  uint64_t record_comparisons = 0;
+  uint64_t alibi_pairs = 0;
+  uint64_t lookups = 0;
+};
+
+double ReferenceScore(const LinkageContext& ctx, const SimilarityConfig& cfg,
+                      EntityIdx u, EntityIdx v, const WindowBins& windows_u,
+                      const WindowBins& windows_v, ReferenceCounts* counts) {
+  const double runaway =
+      RunawayMeters(cfg.proximity, ctx.config.window_seconds);
+  const double norm = cfg.use_normalization
+                          ? ctx.store_e.LengthNorm(u, cfg.b) *
+                                ctx.store_i.LengthNorm(v, cfg.b)
+                          : 1.0;
+  MutualPairing pairing;
+  double score = 0.0;
+  for (const auto& [window, bins_u] : windows_u) {
+    const auto it = windows_v.find(window);
+    if (it == windows_v.end()) continue;
+    const std::vector<BinId>& bins_v = it->second;
+    const size_t m = bins_u.size();
+    const size_t n = bins_v.size();
+    std::vector<double> dist(m * n);
+    for (size_t r = 0; r < m; ++r) {
+      for (size_t c = 0; c < n; ++c) {
+        const CellId a = ctx.vocab.cell(bins_u[r]);
+        const CellId b = ctx.vocab.cell(bins_v[c]);
+        dist[r * n + c] = a.raw() <= b.raw() ? MinDistanceMeters(a, b)
+                                             : MinDistanceMeters(b, a);
+      }
+    }
+    counts->record_comparisons += m * n;
+    if (!(m == 1 && n == 1 && bins_u[0] == bins_v[0])) counts->lookups += m * n;
+    auto contribution = [&](size_t r, size_t c) {
+      const double d = dist[r * n + c];
+      const double p =
+          SpatialProximity(d, runaway, cfg.proximity.clamp_epsilon);
+      if (IsAlibi(d, runaway)) ++counts->alibi_pairs;
+      const double idf =
+          cfg.use_idf ? std::min(ctx.store_e.idf_values()[bins_u[r]],
+                                 ctx.store_i.idf_values()[bins_v[c]])
+                      : 1.0;
+      return p * idf / norm;
+    };
+    if (cfg.pairing == PairingKind::kAllPairs) {
+      for (size_t r = 0; r < m; ++r) {
+        for (size_t c = 0; c < n; ++c) score += contribution(r, c);
+      }
+      continue;
+    }
+    MutualNearestAndFurthestPairs(dist, m, n, cfg.use_mfn, &pairing);
+    for (const auto& [r, c] : pairing.nearest) score += contribution(r, c);
+    for (const BinPair& pair : pairing.furthest) {
+      if (std::find(pairing.nearest.begin(), pairing.nearest.end(), pair) !=
+          pairing.nearest.end()) {
+        continue;
+      }
+      const double delta = contribution(pair.first, pair.second);
+      if (delta < 0.0) score += delta;
+    }
+  }
+  return score;
+}
+
+// A wide-area problem: 40 entities per side with one to three records per
+// window at 24 windows, scattered over hundreds of kilometres, so the
+// vocabulary holds thousands of distinct level-12 cells. Right entities
+// 0-29 retrace their left namesake within ~1 km (positive scores); the
+// rest move independently (alibis).
+LinkageContext WideAreaContext() {
+  Rng rng(77);
+  LocationDataset e("E"), i("I");
+  const HistoryConfig config;
+  for (EntityId k = 0; k < 40; ++k) {
+    const double base_lat = rng.NextDouble(30.0, 48.0);
+    const double base_lng = rng.NextDouble(-120.0, -75.0);
+    for (int64_t w = 0; w < 24; ++w) {
+      const int64_t records = 1 + static_cast<int64_t>(rng.NextUint64(3));
+      for (int64_t j = 0; j < records; ++j) {
+        const LatLng at{base_lat + rng.NextDouble(-1.5, 1.5),
+                        base_lng + rng.NextDouble(-1.5, 1.5)};
+        const int64_t t = w * config.window_seconds + 60 * j;
+        e.Add(k, at, t);
+        const LatLng seen =
+            k < 30 ? LatLng{at.lat_deg + rng.NextDouble(-0.005, 0.005),
+                            at.lng_deg + rng.NextDouble(-0.005, 0.005)}
+                   : LatLng{rng.NextDouble(30.0, 48.0),
+                            rng.NextDouble(-120.0, -75.0)};
+        i.Add(k, seen, t + 30);
+      }
+    }
+  }
+  e.Finalize();
+  i.Finalize();
+  return LinkageContext::Build(e, i, config, /*threads=*/1);
+}
+
+// A commute pair (20 per side from a 40-commuter metro): dense
+// trajectories over few distinct cells and many bins, the shape that takes
+// the table path.
+LinkageContext CommuteContext() {
+  CommuteGeneratorOptions gen;
+  gen.num_commuters = 40;
+  gen.seed = 2302;
+  const LocationDataset master = GenerateCommuteDataset(gen);
+  PairSampleOptions sampling;
+  sampling.entities_per_side = 20;
+  sampling.intersection_ratio = 0.5;
+  sampling.inclusion_probability = 0.5;
+  sampling.seed = 1;
+  auto sample = SampleLinkedPair(master, sampling);
+  SLIM_CHECK_MSG(sample.ok(), "sampling the commute test problem failed");
+  return LinkageContext::Build(sample->a, sample->b, HistoryConfig{},
+                               /*threads=*/1);
+}
+
+size_t DistinctCells(const BinVocabulary& vocab) {
+  std::set<uint64_t> cells;
+  for (BinId b = 0; b < vocab.size(); ++b) cells.insert(vocab.cell(b).raw());
+  return cells.size();
+}
+
+// Scores every cross pair the way SlimLinker's scoring loop does (one
+// CellDistanceCache and ScoreScratch, the cache's counters added to the
+// stats) and checks scores, counters and the distance path against the
+// reference. Returns the cache misses, which tell the two paths apart.
+uint64_t ExpectMatchesReference(const LinkageContext& ctx) {
+  std::vector<SimilarityConfig> configs(4);
+  configs[1].use_idf = false;
+  configs[2].pairing = PairingKind::kAllPairs;
+  configs[3].use_normalization = false;
+  configs[3].use_mfn = false;
+  const std::vector<WindowBins> groups_e = GroupByWindow(ctx, ctx.store_e);
+  const std::vector<WindowBins> groups_i = GroupByWindow(ctx, ctx.store_i);
+  uint64_t misses = 0;
+  for (size_t c = 0; c < configs.size(); ++c) {
+    const SimilarityEngine engine(ctx, configs[c]);
+    SimilarityStats stats;
+    CellDistanceCache cache;
+    ScoreScratch scratch;
+    ReferenceCounts ref;
+    size_t nonzero = 0;
+    for (EntityIdx u = 0; u < ctx.store_e.size(); ++u) {
+      for (EntityIdx v = 0; v < ctx.store_i.size(); ++v) {
+        const double want = ReferenceScore(ctx, configs[c], u, v,
+                                           groups_e[u], groups_i[v], &ref);
+        const double got =
+            engine.ScoreIndexed(u, v, &stats, &cache, &scratch);
+        EXPECT_EQ(std::bit_cast<uint64_t>(got), std::bit_cast<uint64_t>(want))
+            << "config " << c << " pair (" << u << ", " << v << "): " << got
+            << " vs " << want;
+        if (want != 0.0) ++nonzero;
+      }
+    }
+    stats.cache_hits += cache.hits();
+    stats.cache_misses += cache.misses();
+    EXPECT_GT(nonzero, 0u) << "config " << c;
+    EXPECT_GT(ref.lookups, 0u) << "config " << c;
+    EXPECT_EQ(stats.record_comparisons, ref.record_comparisons)
+        << "config " << c;
+    EXPECT_EQ(stats.alibi_pairs, ref.alibi_pairs) << "config " << c;
+    EXPECT_EQ(stats.cache_hits + stats.cache_misses, ref.lookups)
+        << "config " << c;
+    misses += stats.cache_misses;
+  }
+  return misses;
+}
+
+TEST(ScoreKernelEngine, TablePathMatchesTheReference) {
+  const LinkageContext ctx = CommuteContext();
+  const size_t cells = DistinctCells(ctx.vocab);
+  ASSERT_LE(cells, kCellDistanceTableMaxCells);
+  ASSERT_LE(cells * (cells + 1) / 2, ctx.vocab.size());
+  // Every distance came from the table: no MinDistanceMeters call, so no
+  // miss.
+  EXPECT_EQ(ExpectMatchesReference(ctx), 0u);
+}
+
+TEST(ScoreKernelEngine, MemoPathMatchesTheReference) {
+  // No table, so the caller's cache computed (and missed) every new pair:
+  // once for too many distinct cells ...
+  const LinkageContext wide = WideAreaContext();
+  ASSERT_GT(DistinctCells(wide.vocab), kCellDistanceTableMaxCells);
+  EXPECT_GT(ExpectMatchesReference(wide), 0u);
+  // ... and once for too few bins to repay the fill.
+  const LinkageContext& small = EngineContext();
+  const size_t cells = DistinctCells(small.vocab);
+  ASSERT_LE(cells, kCellDistanceTableMaxCells);
+  ASSERT_GT(cells * (cells + 1) / 2, small.vocab.size());
+  EXPECT_GT(ExpectMatchesReference(small), 0u);
 }
 
 // ---------------------------------------------------------------------------
