@@ -253,6 +253,27 @@ void BM_GreedyMatching(benchmark::State& state) {
 }
 BENCHMARK(BM_GreedyMatching)->Arg(64)->Arg(256)->Arg(1024);
 
+// Complete n x n graph in which every left vertex outbids all earlier
+// ones (weight 1 + u n + (n - v)): each new left vertex displaces a chain
+// through all earlier ones, so proposals that rescan their whole run
+// instead of walking a sorted cursor take O(n^3).
+void BM_GreedyMatchingOutbid(benchmark::State& state) {
+  const auto n = static_cast<int64_t>(state.range(0));
+  BipartiteGraph g;
+  g.Reserve(static_cast<size_t>(n * n));
+  for (int64_t u = 0; u < n; ++u) {
+    for (int64_t v = 0; v < n; ++v) {
+      g.AddEdge(u, v, static_cast<double>(1 + u * n + (n - v)));
+    }
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(GreedyMaxWeightMatching(g));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(g.num_edges()));
+}
+BENCHMARK(BM_GreedyMatchingOutbid)->Arg(1024);
+
 void BM_HungarianMatching(benchmark::State& state) {
   const BipartiteGraph g =
       RandomGraph(static_cast<size_t>(state.range(0)), 0.3, 9);

@@ -3,6 +3,9 @@
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
 #endif
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 namespace slim {
 
@@ -19,6 +22,12 @@ uint64_t CurrentPeakRssBytes() {
 #endif
 #else
   return 0;
+#endif
+}
+
+void ReleaseFreeHeapMemory() {
+#if defined(__GLIBC__)
+  malloc_trim(0);
 #endif
 }
 

@@ -1,4 +1,5 @@
-// Process resource introspection for the benchmark instrumentation.
+// Process resource introspection for the benchmark instrumentation, and
+// the one call that hands freed heap memory back to the OS.
 #ifndef SLIM_COMMON_RESOURCE_H_
 #define SLIM_COMMON_RESOURCE_H_
 
@@ -11,6 +12,11 @@ namespace slim {
 /// peak), so per-stage samples bound each stage's footprint from above.
 /// Returns 0 on platforms without getrusage support.
 uint64_t CurrentPeakRssBytes();
+
+/// Returns the heap's free pages to the OS (glibc: malloc_trim(0), which
+/// trims the main heap's top and releases the free pages of every arena).
+/// Live allocations are untouched. A no-op on other allocators.
+void ReleaseFreeHeapMemory();
 
 }  // namespace slim
 

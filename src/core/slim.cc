@@ -120,12 +120,13 @@ void ApplyStopThreshold(const SlimConfig& config, LinkageResult* result) {
 // The one seal (matching + stop threshold, LinkPairs of Alg. 1) over the
 // spilled edges. The spill fixes the canonical edge orders, so neither the
 // block plan nor the thread count leaves a trace in the output. With the
-// graph kept, the (u, v)-ordered edges become the graph without a copy;
-// otherwise the (weight desc, u, v)-ordered stream — exactly the sequence
-// GreedyMaxWeightMatching sorts into — feeds the greedy matcher directly,
-// so only the matching is ever resident. Links, matching, and threshold
-// are bit-identical either way. IoError from a truncated or corrupt spill
-// propagates; `result` is unusable on error.
+// graph kept, the (u, v)-ordered edges become the graph without a copy,
+// and GreedyMaxWeightMatching runs its proposals over them in place;
+// otherwise the (weight desc, u, v)-ordered stream — GreedyEdgeOrder —
+// feeds the streaming greedy matcher directly, so only the matching is
+// ever resident. Links, matching, and threshold are bit-identical either
+// way. IoError from a truncated or corrupt spill propagates; `result` is
+// unusable on error.
 Status Seal(const SlimConfig& config, EdgeSpill* spill,
             LinkageResult* result) {
   const auto t0 = std::chrono::steady_clock::now();
@@ -223,6 +224,49 @@ Result<LinkageResult> LinkBlocks(const SlimConfig& config, int threads,
   return result;
 }
 
+// Link's body: the heap (or SCTX-mapped) context, then LinkBlocks.
+Result<LinkageResult> LinkDatasets(const SlimConfig& config,
+                                   const LocationDataset& dataset_e,
+                                   const LocationDataset& dataset_i) {
+  const auto t_start = std::chrono::steady_clock::now();
+  const int threads = ThreadsOf(config);
+  const uint64_t rss_before_context = CurrentPeakRssBytes();
+
+  // 1. The global context (CreateHistories of Alg. 1): IDF, length norms,
+  //    the bin vocabulary, and the LSH query grid are dataset-level
+  //    statistics, so they must see both full datasets whatever the plan
+  //    is. With sctx_path set the heap build happens at most once (to
+  //    create the file) and the run proceeds over the mapped image, so the
+  //    steady-state context cost is page cache instead of RSS.
+  LinkageContext ctx;
+  if (config.sctx_path.empty()) {
+    ctx = LinkageContext::Build(dataset_e, dataset_i, config.history,
+                                threads);
+  } else {
+    if (!PathExists(config.sctx_path)) {
+      // Scoped so the heap context dies before the mapped one loads: the
+      // whole point is not paying for both at once.
+      const LinkageContext built = LinkageContext::Build(
+          dataset_e, dataset_i, config.history, threads);
+      if (Status s = WriteSctx(built, config.sctx_path); !s.ok()) return s;
+    }
+    SctxReadOptions read_options;
+    // Only the LSH generator probes window trees; brute/grid runs skip the
+    // rebuild and keep the context fully mapped.
+    read_options.build_trees = config.candidates == CandidateKind::kLsh;
+    read_options.threads = threads;
+    Result<LinkageContext> loaded = ReadSctx(config.sctx_path, read_options);
+    if (!loaded.ok()) return loaded.status();
+    ctx = std::move(loaded.value());
+  }
+  LinkageResult result;
+  result.seconds_histories = SecondsSince(t_start);
+  result.rss_peak_histories = CurrentPeakRssBytes();
+
+  return LinkBlocks(config, threads, ctx, rss_before_context, t_start,
+                    std::move(result));
+}
+
 }  // namespace
 
 Status ValidateSlimConfig(const SlimConfig& config) {
@@ -266,43 +310,17 @@ Result<LinkageResult> SlimLinker::Link(const LocationDataset& dataset_e,
   if (!dataset_e.finalized() || !dataset_i.finalized()) {
     return Status::FailedPrecondition("datasets must be finalized");
   }
-  const auto t_start = std::chrono::steady_clock::now();
-  const int threads = ThreadsOf(config_);
-  const uint64_t rss_before_context = CurrentPeakRssBytes();
-
-  // 1. The global context (CreateHistories of Alg. 1): IDF, length norms,
-  //    the bin vocabulary, and the LSH query grid are dataset-level
-  //    statistics, so they must see both full datasets whatever the plan
-  //    is. With sctx_path set the heap build happens at most once (to
-  //    create the file) and the run proceeds over the mapped image, so the
-  //    steady-state context cost is page cache instead of RSS.
-  LinkageContext ctx;
-  if (config_.sctx_path.empty()) {
-    ctx = LinkageContext::Build(dataset_e, dataset_i, config_.history,
-                                threads);
-  } else {
-    if (!PathExists(config_.sctx_path)) {
-      // Scoped so the heap context dies before the mapped one loads: the
-      // whole point is not paying for both at once.
-      const LinkageContext built = LinkageContext::Build(
-          dataset_e, dataset_i, config_.history, threads);
-      if (Status s = WriteSctx(built, config_.sctx_path); !s.ok()) return s;
-    }
-    SctxReadOptions read_options;
-    // Only the LSH generator probes window trees; brute/grid runs skip the
-    // rebuild and keep the context fully mapped.
-    read_options.build_trees = config_.candidates == CandidateKind::kLsh;
-    read_options.threads = threads;
-    Result<LinkageContext> loaded = ReadSctx(config_.sctx_path, read_options);
-    if (!loaded.ok()) return loaded.status();
-    ctx = std::move(loaded.value());
-  }
-  LinkageResult result;
-  result.seconds_histories = SecondsSince(t_start);
-  result.rss_peak_histories = CurrentPeakRssBytes();
-
-  return LinkBlocks(config_, threads, ctx, rss_before_context, t_start,
-                    std::move(result));
+  Result<LinkageResult> result = LinkDatasets(config_, dataset_e, dataset_i);
+  // The context build frees hundreds of MB of per-entity transients, spread
+  // over the arenas of whichever threads ran its shards. Kept resident,
+  // they decide whether the next link's large buffers (the caller's record
+  // vectors too) reuse old pages or take fresh ones, and glibc trims its
+  // main heap only past a threshold that earlier frees move. Repeated
+  // links over one pair in one process then reached peaks a whole record
+  // vector apart from one process to the next. Handing the free pages back
+  // makes each link start from its live data alone.
+  ReleaseFreeHeapMemory();
+  return result;
 }
 
 Result<LinkageResult> SlimLinker::LinkShardedContext(

@@ -223,7 +223,9 @@ class SlimLinker {
   /// at every (L, K, threads); peak memory of the candidate + scoring
   /// stages scales with the largest block instead of the full stores.
   /// With config().sctx_path set, the context is serialized/mapped via
-  /// core/sctx.h instead of held on the heap.
+  /// core/sctx.h instead of held on the heap. Before returning it hands
+  /// the heap's free pages back to the OS (common/resource.h), so repeated
+  /// links in one process each start from their live data.
   Result<LinkageResult> Link(const LocationDataset& dataset_e,
                              const LocationDataset& dataset_i) const;
 

@@ -28,9 +28,7 @@ class CellDistanceCache {
   /// around ~50 MB worst case; fine-grained workloads overflow it and fall
   /// back to direct computation for the long tail of rare pairs.
   explicit CellDistanceCache(size_t capacity = 1 << 20)
-      : capacity_(capacity) {
-    map_.reserve(std::min<size_t>(capacity_, 1 << 16));
-  }
+      : capacity_(capacity) {}
 
   /// Minimum geographic distance between the two cells, in meters.
   double Get(CellId a, CellId b) {
@@ -42,7 +40,12 @@ class CellDistanceCache {
       return it->second;
     }
     const double d = MinDistanceMeters(a, b);
-    if (map_.size() < capacity_) map_.emplace(key, d);
+    if (map_.size() < capacity_) {
+      // Buckets are reserved on the first insert, so a cache that is never
+      // filled (the scoring engine's distance-table path) allocates none.
+      if (map_.empty()) map_.reserve(std::min<size_t>(capacity_, 1 << 16));
+      map_.emplace(key, d);
+    }
     ++misses_;
     return d;
   }

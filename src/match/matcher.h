@@ -50,9 +50,23 @@ class StreamingGreedyMatcher {
 
 /// Greedy maximum-sum matching: repeatedly selects the heaviest remaining
 /// edge whose endpoints are both unmatched. Deterministic: ties break on
-/// (u, v). O(E log E). Equivalent to sorting by GreedyEdgeOrder and
-/// streaming through StreamingGreedyMatcher (and implemented that way, so
-/// the in-memory and streamed paths cannot drift).
+/// (u, v). Returns exactly what sorting the edges by GreedyEdgeOrder and
+/// streaming them through StreamingGreedyMatcher returns: the same `pairs`
+/// in the same order and the same `total_weight` bits, for any input
+/// order (tests/test_matching.cc, GreedyDifferential, compares the two).
+///
+/// Implemented without a global sort, by proposals (the sequential Suitor
+/// algorithm of Manne & Halappanavar, IPDPS 2014) over the (u, v)-sorted
+/// edges; other input orders are matched through a (u, v)-sorted copy.
+/// Each left vertex proposes to its first edge in GreedyEdgeOrder whose
+/// right end holds no proposal that comes before that edge, a displaced
+/// vertex proposes again, and the surviving proposals are the greedy
+/// matching. A vertex's first
+/// proposal scans its run; the first time it is displaced, its run is
+/// sorted once and later proposals walk a cursor through it. O(E log d_max)
+/// for those sorts (d_max: the largest left degree), plus a binary search
+/// over the left runs per displacement. Temporary memory is about 8 B per
+/// edge (a right rank and a sort slot) plus a few words per vertex.
 Matching GreedyMaxWeightMatching(const BipartiteGraph& graph);
 
 /// Exact maximum-weight bipartite matching via the Hungarian algorithm

@@ -100,7 +100,7 @@ void ExpectIdenticalResults(const LinkageResult& a, const LinkageResult& b,
   // exactly, which is the point: bit-identical, not approximately equal.
   EXPECT_EQ(a.links, b.links) << threads;
   EXPECT_EQ(a.matching.pairs, b.matching.pairs) << threads;
-  EXPECT_DOUBLE_EQ(a.matching.total_weight, b.matching.total_weight);
+  EXPECT_EQ(a.matching.total_weight, b.matching.total_weight) << threads;
   EXPECT_EQ(a.graph.edges(), b.graph.edges()) << threads;
   EXPECT_EQ(a.candidate_pairs, b.candidate_pairs) << threads;
   EXPECT_EQ(a.possible_pairs, b.possible_pairs) << threads;
@@ -116,7 +116,7 @@ void ExpectIdenticalResults(const LinkageResult& a, const LinkageResult& b,
       << threads;
   EXPECT_EQ(a.threshold_valid, b.threshold_valid) << threads;
   if (a.threshold_valid && b.threshold_valid) {
-    EXPECT_DOUBLE_EQ(a.threshold.threshold, b.threshold.threshold);
+    EXPECT_EQ(a.threshold.threshold, b.threshold.threshold) << threads;
   }
 }
 

@@ -1,6 +1,12 @@
 #include "match/matcher.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -64,6 +70,120 @@ TEST(GreedyMatching, KnownSuboptimalCase) {
   const Matching exact = HungarianMaxWeightMatching(g);
   EXPECT_DOUBLE_EQ(greedy.total_weight, 10.0);
   EXPECT_DOUBLE_EQ(exact.total_weight, 17.0);
+}
+
+// The reference greedy matching: every edge in GreedyEdgeOrder, offered
+// to the streaming matcher (the out-of-core seal's path).
+Matching ReferenceGreedy(std::vector<WeightedEdge> edges) {
+  std::sort(edges.begin(), edges.end(), GreedyEdgeOrder);
+  StreamingGreedyMatcher matcher;
+  for (const auto& e : edges) matcher.Offer(e);
+  return matcher.Take();
+}
+
+// Same pairs in the same order, and every weight and the total with the
+// same bits.
+void ExpectSameMatching(const Matching& got, const Matching& want,
+                        const std::string& label) {
+  ASSERT_EQ(got.pairs.size(), want.pairs.size()) << label;
+  for (size_t k = 0; k < got.pairs.size(); ++k) {
+    EXPECT_EQ(got.pairs[k].u, want.pairs[k].u) << label << " pair " << k;
+    EXPECT_EQ(got.pairs[k].v, want.pairs[k].v) << label << " pair " << k;
+    EXPECT_EQ(std::bit_cast<uint64_t>(got.pairs[k].weight),
+              std::bit_cast<uint64_t>(want.pairs[k].weight))
+        << label << " pair " << k;
+  }
+  EXPECT_EQ(std::bit_cast<uint64_t>(got.total_weight),
+            std::bit_cast<uint64_t>(want.total_weight))
+      << label;
+}
+
+// Random graphs of up to 16 x 16 vertices that stress ties and id order:
+// 1-5 weight levels (so most weights tie), negative weights and +-0 in a
+// quarter, ids wrapping past -1 or past INT64_MAX in half, vertices with
+// no edges, and the edges (u, v)-sorted in half and shuffled in the rest.
+std::vector<WeightedEdge> DifferentialGraph(Rng* rng) {
+  const uint64_t lefts = 1 + rng->NextUint64(16);
+  const uint64_t rights = 1 + rng->NextUint64(16);
+  std::vector<double> levels(1 + rng->NextUint64(5));
+  const bool signed_levels = rng->NextBernoulli(0.25);
+  for (double& w : levels) {
+    w = signed_levels ? static_cast<double>(rng->NextInt64(-3, 3)) * 0.5
+                      : rng->NextDouble(0.01, 1.0);
+  }
+  if (signed_levels) levels.front() = -0.0;
+  // In half the graphs the u and v ids count up from bases near
+  // UINT64_MAX or INT64_MAX in uint64_t arithmetic, so as EntityId they
+  // wrap from -1 to 0 or from INT64_MAX to INT64_MIN.
+  const uint64_t wrap_bases[] = {std::numeric_limits<uint64_t>::max() - 8,
+                                 (uint64_t{1} << 63) - 9};
+  const bool wrap = rng->NextBernoulli(0.5);
+  const uint64_t u_base = wrap ? wrap_bases[rng->NextUint64(2)] : 0;
+  const uint64_t v_base = wrap ? wrap_bases[rng->NextUint64(2)] : 1000;
+  const double density = rng->NextDouble(0.1, 1.0);
+  const double isolated = rng->NextDouble(0.0, 0.3);
+
+  std::vector<bool> right_isolated(rights);
+  for (uint64_t v = 0; v < rights; ++v) {
+    right_isolated[v] = rng->NextBernoulli(isolated);
+  }
+  std::vector<WeightedEdge> edges;
+  for (uint64_t u = 0; u < lefts; ++u) {
+    if (rng->NextBernoulli(isolated)) continue;
+    for (uint64_t v = 0; v < rights; ++v) {
+      if (right_isolated[v] || !rng->NextBernoulli(density)) continue;
+      edges.push_back({static_cast<EntityId>(u_base + u),
+                       static_cast<EntityId>(v_base + v),
+                       levels[rng->NextUint64(levels.size())]});
+    }
+  }
+  if (rng->NextBernoulli(0.5)) {
+    std::sort(edges.begin(), edges.end(), PairEdgeOrder);
+  } else {
+    for (size_t k = edges.size(); k > 1; --k) {
+      std::swap(edges[k - 1], edges[rng->NextUint64(k)]);
+    }
+  }
+  return edges;
+}
+
+TEST(GreedyDifferential, MatchesTheStreamedReferenceOnRandomGraphs) {
+  Rng rng(20140519);
+  for (int trial = 0; trial < 20000; ++trial) {
+    std::vector<WeightedEdge> edges = DifferentialGraph(&rng);
+    const Matching want = ReferenceGreedy(edges);
+    const Matching got = GreedyMaxWeightMatching(BipartiteGraph(edges));
+    ExpectSameMatching(got, want, "trial " + std::to_string(trial));
+    if (HasFailure()) break;
+  }
+}
+
+// Complete n x n graph in which every left vertex outbids all earlier
+// ones, each preferring the smallest free v: weight 1 + u n + (n - v).
+// Each new left vertex displaces a chain through every earlier one, the
+// worst case for proposals that rescan their whole run.
+std::vector<WeightedEdge> OutbidGraph(int64_t n) {
+  std::vector<WeightedEdge> edges;
+  edges.reserve(static_cast<size_t>(n * n));
+  for (int64_t u = 0; u < n; ++u) {
+    for (int64_t v = 0; v < n; ++v) {
+      edges.push_back({u, v, static_cast<double>(1 + u * n + (n - v))});
+    }
+  }
+  return edges;
+}
+
+TEST(GreedyDifferential, MatchesTheStreamedReferenceOnTheOutbidGraph) {
+  const int64_t n = 300;
+  const std::vector<WeightedEdge> edges = OutbidGraph(n);
+  const Matching got = GreedyMaxWeightMatching(BipartiteGraph(edges));
+  ExpectSameMatching(got, ReferenceGreedy(edges), "outbid");
+  // The last left vertex takes v = 0, the one before it v = 1, and so on.
+  ASSERT_EQ(got.pairs.size(), static_cast<size_t>(n));
+  for (int64_t k = 0; k < n; ++k) {
+    EXPECT_EQ(got.pairs[static_cast<size_t>(k)].u, n - 1 - k);
+    EXPECT_EQ(got.pairs[static_cast<size_t>(k)].v, k);
+  }
 }
 
 TEST(HungarianMatching, EmptyGraph) {

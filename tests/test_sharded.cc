@@ -56,7 +56,7 @@ void ExpectIdenticalResults(const LinkageResult& a, const LinkageResult& b,
   // Doubles compare exactly: bit-identical is the contract, not "close".
   EXPECT_EQ(a.links, b.links) << label;
   EXPECT_EQ(a.matching.pairs, b.matching.pairs) << label;
-  EXPECT_DOUBLE_EQ(a.matching.total_weight, b.matching.total_weight) << label;
+  EXPECT_EQ(a.matching.total_weight, b.matching.total_weight) << label;
   EXPECT_EQ(a.graph.edges(), b.graph.edges()) << label;
   EXPECT_EQ(a.candidate_pairs, b.candidate_pairs) << label;
   EXPECT_EQ(a.possible_pairs, b.possible_pairs) << label;
@@ -70,7 +70,7 @@ void ExpectIdenticalResults(const LinkageResult& a, const LinkageResult& b,
       << label;
   EXPECT_EQ(a.threshold_valid, b.threshold_valid) << label;
   if (a.threshold_valid && b.threshold_valid) {
-    EXPECT_DOUBLE_EQ(a.threshold.threshold, b.threshold.threshold) << label;
+    EXPECT_EQ(a.threshold.threshold, b.threshold.threshold) << label;
   }
 }
 
@@ -460,12 +460,12 @@ TEST_P(ShardedDriver, StreamingMatcherMatchesWithoutTheGraph) {
   EXPECT_EQ(streamed->graph.num_edges(), 0u);
   EXPECT_EQ(streamed->links, reference->links);
   EXPECT_EQ(streamed->matching.pairs, reference->matching.pairs);
-  EXPECT_DOUBLE_EQ(streamed->matching.total_weight,
-                   reference->matching.total_weight);
+  EXPECT_EQ(streamed->matching.total_weight,
+            reference->matching.total_weight);
   EXPECT_EQ(streamed->threshold_valid, reference->threshold_valid);
   if (streamed->threshold_valid) {
-    EXPECT_DOUBLE_EQ(streamed->threshold.threshold,
-                     reference->threshold.threshold);
+    EXPECT_EQ(streamed->threshold.threshold,
+              reference->threshold.threshold);
   }
   EXPECT_EQ(streamed->spilled_edges, reference->graph.num_edges());
   // The score-ordered runs merge in a single pass.
