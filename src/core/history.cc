@@ -1,6 +1,7 @@
 #include "core/history.h"
 
-#include <map>
+#include <algorithm>
+#include <utility>
 
 #include "common/check.h"
 #include "geo/covering.h"
@@ -15,7 +16,10 @@ std::vector<TimeLocationBin> GroupRecordsIntoBins(
                  "invalid spatial level");
   SLIM_CHECK_MSG(config.window_seconds > 0, "invalid window width");
 
-  std::map<std::pair<int64_t, CellId>, uint32_t> grouped;
+  // One (window, cell) key per record, or per covered cell of a region
+  // record; sorted, each run of equal keys is one bin.
+  std::vector<std::pair<int64_t, CellId>> keys;
+  keys.reserve(records.size());
   for (const Record& r : records) {
     const int64_t w = WindowIndexOf(r.timestamp, config.window_seconds);
     if (config.region_radius_meters > 0.0) {
@@ -23,18 +27,27 @@ std::vector<TimeLocationBin> GroupRecordsIntoBins(
       for (const CellId c : CellsCoveringDisc(
                r.location, config.region_radius_meters,
                config.spatial_level)) {
-        ++grouped[{w, c}];
+        keys.emplace_back(w, c);
       }
     } else {
-      const CellId c = CellId::FromLatLng(r.location, config.spatial_level);
-      ++grouped[{w, c}];
+      keys.emplace_back(w,
+                        CellId::FromLatLng(r.location, config.spatial_level));
     }
   }
+  std::sort(keys.begin(), keys.end());
 
+  size_t distinct = keys.empty() ? 0 : 1;
+  for (size_t k = 1; k < keys.size(); ++k) {
+    distinct += keys[k] != keys[k - 1] ? 1 : 0;
+  }
   std::vector<TimeLocationBin> bins;
-  bins.reserve(grouped.size());
-  for (const auto& [key, count] : grouped) {
-    bins.push_back({key.first, key.second, count});
+  bins.reserve(distinct);
+  for (size_t k = 0; k < keys.size(); ++k) {
+    if (k > 0 && keys[k] == keys[k - 1]) {
+      ++bins.back().record_count;
+    } else {
+      bins.push_back({keys[k].first, keys[k].second, 1});
+    }
   }
   return bins;
 }

@@ -176,37 +176,59 @@ std::optional<BinId> BinVocabulary::Find(int64_t window, CellId cell) const {
 
 BinVocabulary BinVocabulary::Build(
     const std::vector<std::vector<TimeLocationBin>>& side_e,
-    const std::vector<std::vector<TimeLocationBin>>& side_i) {
-  std::vector<std::pair<int64_t, CellId>> keys;
-  size_t total = 0;
-  for (const auto& bins : side_e) total += bins.size();
-  for (const auto& bins : side_i) total += bins.size();
-  keys.reserve(total);
+    const std::vector<std::vector<TimeLocationBin>>& side_i, int threads) {
+  using Key = std::pair<int64_t, CellId>;
+  std::vector<const std::vector<TimeLocationBin>*> lists;
+  lists.reserve(side_e.size() + side_i.size());
   for (const auto* side : {&side_e, &side_i}) {
-    for (const auto& bins : *side) {
-      for (const TimeLocationBin& bin : bins) {
-        keys.emplace_back(bin.window, bin.cell);
-      }
-    }
+    for (const auto& bins : *side) lists.push_back(&bins);
   }
-  std::sort(keys.begin(), keys.end(),
-            [](const auto& a, const auto& b) {
-              if (a.first != b.first) return a.first < b.first;
-              return a.second < b.second;
-            });
-  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-  SLIM_CHECK_MSG(keys.size() <= static_cast<size_t>(UINT32_MAX),
-                 "bin vocabulary exceeds 2^32 entries");
+  // Each shard sorts and dedups the bins of its slice of the entities; the
+  // distinct runs then merge in shard order into the one sorted set of
+  // distinct keys, whatever the shard count.
+  std::vector<std::vector<Key>> runs(
+      static_cast<size_t>(threads > 0 ? threads : DefaultThreadCount()));
+  ParallelFor(
+      lists.size(),
+      [&](size_t begin, size_t end, int shard) {
+        std::vector<Key>& run = runs[static_cast<size_t>(shard)];
+        size_t occurrences = 0;
+        for (size_t k = begin; k < end; ++k) occurrences += lists[k]->size();
+        run.reserve(occurrences);
+        for (size_t k = begin; k < end; ++k) {
+          for (const TimeLocationBin& bin : *lists[k]) {
+            run.emplace_back(bin.window, bin.cell);
+          }
+        }
+        std::sort(run.begin(), run.end());
+        run.erase(std::unique(run.begin(), run.end()), run.end());
+      },
+      static_cast<int>(runs.size()));
 
   BinVocabulary vocab;
   std::vector<int64_t>& windows = vocab.windows_.owned();
   std::vector<CellId>& cells = vocab.cells_.owned();
-  windows.reserve(keys.size());
-  cells.reserve(keys.size());
-  for (const auto& [window, cell] : keys) {
-    windows.push_back(window);
-    cells.push_back(cell);
+  std::vector<size_t> head(runs.size(), 0);
+  while (true) {
+    const Key* next = nullptr;
+    for (size_t s = 0; s < runs.size(); ++s) {
+      if (head[s] < runs[s].size() &&
+          (next == nullptr || runs[s][head[s]] < *next)) {
+        next = &runs[s][head[s]];
+      }
+    }
+    if (next == nullptr) break;
+    const Key key = *next;
+    windows.push_back(key.first);
+    cells.push_back(key.second);
+    for (size_t s = 0; s < runs.size(); ++s) {
+      if (head[s] < runs[s].size() && runs[s][head[s]] == key) ++head[s];
+    }
   }
+  SLIM_CHECK_MSG(windows.size() <= static_cast<size_t>(UINT32_MAX),
+                 "bin vocabulary exceeds 2^32 entries");
+  windows.shrink_to_fit();
+  cells.shrink_to_fit();
   return vocab;
 }
 
@@ -236,7 +258,7 @@ LinkageContext LinkageContext::Build(const LocationDataset& dataset_e,
     // Symmetric context (the auto-tuner's case): bin and intern once, copy
     // the finished store instead of rebuilding it.
     SideBins bins = BinSide(dataset_e, config, threads);
-    ctx.vocab = BinVocabulary::Build(bins.bins, {});
+    ctx.vocab = BinVocabulary::Build(bins.bins, {}, threads);
     HistoryStoreBuilder::Fill(dataset_e, ctx.vocab, std::move(bins), threads,
                               &ctx.store_e);
     ctx.store_i = ctx.store_e;
@@ -244,7 +266,7 @@ LinkageContext LinkageContext::Build(const LocationDataset& dataset_e,
   }
   SideBins bins_e = BinSide(dataset_e, config, threads);
   SideBins bins_i = BinSide(dataset_i, config, threads);
-  ctx.vocab = BinVocabulary::Build(bins_e.bins, bins_i.bins);
+  ctx.vocab = BinVocabulary::Build(bins_e.bins, bins_i.bins, threads);
   HistoryStoreBuilder::Fill(dataset_e, ctx.vocab, std::move(bins_e), threads,
                             &ctx.store_e);
   HistoryStoreBuilder::Fill(dataset_i, ctx.vocab, std::move(bins_i), threads,

@@ -10,7 +10,7 @@
 //   HistoryStore   — one dataset's histories in a CSR-style flat layout:
 //                    per-entity offset spans over BinId/count arrays, a
 //                    parallel window index, IDF as a flat array indexed by
-//                    BinId, and the per-entity window segment trees the LSH
+//                    BinId, and the per-entity window indexes the LSH
 //                    layer queries. Entities are addressed by dense
 //                    EntityIdx (their rank in the sorted entity-id list).
 //   LinkageContext — the vocabulary plus the two stores; the input to the
@@ -27,10 +27,11 @@
 // Every flat array lives in a FlatArray<T> (common/flat_array.h): the
 // build path owns plain vectors, while a context loaded from an SCTX file
 // (core/sctx.h) views the mapped bytes read-only — the scoring and
-// candidate layers read either backing transparently. The one structure a
-// mapped context cannot view is the per-entity WindowSegmentTree heap; the
-// SCTX reader rebuilds the trees deterministically from the CSR arrays (or
-// skips them when the run's candidate generator never queries them — see
+// candidate layers read either backing transparently. The per-entity
+// WindowSegmentTree (temporal/window_tree.h; three flat leaf arrays per
+// entity, not a pointered tree) is the one heap structure outside the
+// file: the SCTX reader rebuilds it from the CSR arrays without a sort, or
+// skips it when the run's candidate generator never queries it (see
 // has_trees()).
 #ifndef SLIM_CORE_LINKAGE_CONTEXT_H_
 #define SLIM_CORE_LINKAGE_CONTEXT_H_
@@ -74,11 +75,15 @@ class BinVocabulary {
   std::optional<BinId> Find(int64_t window, CellId cell) const;
 
   /// Builds the vocabulary from per-side bin lists (each inner vector is
-  /// one entity's (window, cell)-sorted bins). Exposed for tests; the
+  /// one entity's (window, cell)-sorted bins): `threads` workers (<= 0
+  /// means the library default) sort and dedup one slice of the bin
+  /// occurrences each, and the distinct runs merge in shard order, so the
+  /// vocabulary is identical at every thread count. Exposed for tests; the
   /// pipeline uses LinkageContext::Build.
   static BinVocabulary Build(
       const std::vector<std::vector<TimeLocationBin>>& side_e,
-      const std::vector<std::vector<TimeLocationBin>>& side_i);
+      const std::vector<std::vector<TimeLocationBin>>& side_i,
+      int threads = 0);
 
  private:
   friend class SctxIo;  // serialisation + mapped views (core/sctx.cc)
@@ -152,13 +157,13 @@ class HistoryStore {
   /// The normalisation L(u) = (1 - b) + b * |H_u| / avg|H| of Eq. 2.
   double LengthNorm(EntityIdx u, double b) const;
 
-  /// Whether the per-entity window trees exist. True for every built
+  /// Whether the per-entity window indexes exist. True for every built
   /// context; false only for an SCTX-loaded context that skipped the
   /// rebuild (ReadSctx with build_trees = false) — such a context serves
   /// every generator except LSH.
   bool has_trees() const { return trees_.size() == entity_ids_.size(); }
-  /// Entity u's hierarchical window aggregation (LSH dominating-cell
-  /// queries). Requires has_trees().
+  /// Entity u's window index (LSH dominating-cell queries). Requires
+  /// has_trees().
   const WindowSegmentTree& tree(EntityIdx u) const {
     SLIM_CHECK_MSG(u < trees_.size(),
                    "window trees unavailable (SCTX loaded without trees)");
@@ -209,11 +214,11 @@ struct LinkageContext {
   /// stay valid for the lifetime of every copy. Null for built contexts.
   std::shared_ptr<const void> backing;
 
-  /// Builds the context from two finalized datasets. Per-entity binning and
-  /// tree construction are data-parallel over `threads` workers (<= 0 means
-  /// the library default); vocabulary assignment and the dataset statistics
-  /// are order-fixed merges, so the context is identical at every thread
-  /// count.
+  /// Builds the context from two finalized datasets. Per-entity binning,
+  /// the window indexes and the vocabulary sort are data-parallel over
+  /// `threads` workers (<= 0 means the library default); vocabulary
+  /// assignment and the dataset statistics are order-fixed merges, so the
+  /// context is identical at every thread count.
   static LinkageContext Build(const LocationDataset& dataset_e,
                               const LocationDataset& dataset_i,
                               const HistoryConfig& config, int threads = 0);

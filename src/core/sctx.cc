@@ -356,10 +356,10 @@ class SctxIo {
     return true;
   }
 
-  // Rebuilds the per-entity window trees from the mapped CSR + vocabulary.
-  // The entry sequence is exactly the (window, cell)-sorted bin order the
-  // original build fed WindowSegmentTree::Build, so the rebuilt trees are
-  // identical to the pre-serialisation ones.
+  // Rebuilds the per-entity window indexes from the mapped CSR +
+  // vocabulary. The entry sequence is exactly the (window, cell)-sorted bin
+  // order the original build fed WindowSegmentTree::Build (which then skips
+  // its sort), so the rebuilt indexes equal the pre-serialisation ones.
   static void RebuildTrees(const BinVocabulary& vocab, int threads,
                            HistoryStore* store) {
     const size_t n = store->size();

@@ -24,11 +24,12 @@
 //   index outside the mapping.
 //
 // The one heap structure SCTX does not carry is the per-entity
-// WindowSegmentTree (a pointered aggregation only the LSH signature layer
-// queries). ReadSctx rebuilds the trees deterministically from the mapped
-// CSR + vocabulary — or skips them (build_trees = false) when the run's
-// candidate generator never needs them, which is the memory-lean choice
-// for brute/grid runs.
+// WindowSegmentTree (a flat leaf index only the LSH signature layer
+// queries). ReadSctx rebuilds it from the mapped CSR + vocabulary, whose
+// bins are already (window, cell)-sorted, so the rebuild copies without
+// sorting — or skips it (build_trees = false) when the run's candidate
+// generator never needs it, which is the memory-lean choice for brute/grid
+// runs.
 #ifndef SLIM_CORE_SCTX_H_
 #define SLIM_CORE_SCTX_H_
 

@@ -50,7 +50,9 @@ struct LshConfig {
 /// Builds the signature of one history over the global query grid
 /// [global_w_begin, global_w_end) in steps of `step_windows` leaf windows.
 /// `spatial_level` must not exceed the tree's leaf level. An empty tree
-/// produces an all-placeholder signature.
+/// produces an all-placeholder signature. Each step is one DominatingCell
+/// query that reads only that step's leaves: a binary search per row plus
+/// one sort of each occupied step's leaves.
 LshSignature BuildSignature(const WindowSegmentTree& tree,
                             int64_t global_w_begin, int64_t global_w_end,
                             int step_windows, int spatial_level);

@@ -1,46 +1,19 @@
 #include "temporal/window_tree.h"
 
 #include <algorithm>
-#include <map>
-#include <unordered_map>
 
 #include "common/check.h"
 
 namespace slim {
-namespace {
-
-// Merges b into a (both sorted by cell id), summing counts.
-void MergeCounts(WindowSegmentTree::CellCounts* a,
-                 const WindowSegmentTree::CellCounts& b) {
-  WindowSegmentTree::CellCounts out;
-  out.reserve(a->size() + b.size());
-  size_t ia = 0, ib = 0;
-  while (ia < a->size() && ib < b.size()) {
-    if ((*a)[ia].first < b[ib].first) {
-      out.push_back((*a)[ia++]);
-    } else if (b[ib].first < (*a)[ia].first) {
-      out.push_back(b[ib++]);
-    } else {
-      out.emplace_back((*a)[ia].first, (*a)[ia].second + b[ib].second);
-      ++ia;
-      ++ib;
-    }
-  }
-  while (ia < a->size()) out.push_back((*a)[ia++]);
-  while (ib < b.size()) out.push_back(b[ib++]);
-  *a = std::move(out);
-}
-
-}  // namespace
 
 WindowSegmentTree WindowSegmentTree::Build(
     std::vector<WindowedCellCount> entries) {
   WindowSegmentTree tree;
   if (entries.empty()) return tree;
+  SLIM_CHECK_MSG(entries.size() <= UINT32_MAX,
+                 "WindowSegmentTree: more than 2^32 entries");
 
   int leaf_level = -1;
-  // window -> (cell -> count), ordered so leaves come out sorted.
-  std::map<int64_t, std::map<CellId, uint32_t>> grouped;
   for (const auto& e : entries) {
     SLIM_CHECK_MSG(e.cell.IsValid(), "WindowSegmentTree: invalid cell");
     SLIM_CHECK_MSG(e.count > 0, "WindowSegmentTree: zero count");
@@ -50,75 +23,61 @@ WindowSegmentTree WindowSegmentTree::Build(
       SLIM_CHECK_MSG(e.cell.level() == leaf_level,
                      "WindowSegmentTree: mixed leaf cell levels");
     }
-    grouped[e.window][e.cell] += e.count;
+  }
+  const auto before = [](const WindowedCellCount& a,
+                         const WindowedCellCount& b) {
+    return a.window != b.window ? a.window < b.window : a.cell < b.cell;
+  };
+  if (!std::is_sorted(entries.begin(), entries.end(), before)) {
+    std::sort(entries.begin(), entries.end(), before);
   }
 
-  std::vector<std::pair<int64_t, CellCounts>> leaves;
-  leaves.reserve(grouped.size());
-  for (auto& [w, cells] : grouped) {
-    CellCounts cc(cells.begin(), cells.end());
-    leaves.emplace_back(w, std::move(cc));
+  // Size the arrays exactly before filling them: the index lives as long
+  // as its context.
+  size_t windows = 0, leaves = 0;
+  for (size_t k = 0; k < entries.size(); ++k) {
+    const bool new_window =
+        k == 0 || entries[k].window != entries[k - 1].window;
+    windows += new_window ? 1 : 0;
+    leaves += new_window || entries[k].cell != entries[k - 1].cell ? 1 : 0;
   }
-
+  tree.windows_.reserve(windows);
+  tree.offsets_.reserve(windows + 1);
+  tree.cells_.reserve(leaves);
+  for (size_t k = 0; k < entries.size(); ++k) {
+    const WindowedCellCount& e = entries[k];
+    if (k == 0 || e.window != entries[k - 1].window) {
+      tree.windows_.push_back(e.window);
+      tree.offsets_.push_back(static_cast<uint32_t>(tree.cells_.size()));
+    } else if (e.cell == entries[k - 1].cell) {
+      tree.cells_.back().second += e.count;  // a repeated (window, cell)
+      continue;
+    }
+    tree.cells_.emplace_back(e.cell, e.count);
+  }
+  tree.offsets_.push_back(static_cast<uint32_t>(tree.cells_.size()));
+  for (const auto& [cell, count] : tree.cells_) tree.total_records_ += count;
   tree.leaf_level_ = leaf_level;
-  tree.num_leaves_ = leaves.size();
-  tree.nodes_.reserve(2 * leaves.size());
-  tree.root_ = tree.BuildRange(leaves, 0, leaves.size() - 1);
   return tree;
-}
-
-int WindowSegmentTree::BuildRange(
-    const std::vector<std::pair<int64_t, CellCounts>>& leaves, size_t lo,
-    size_t hi) {
-  if (lo == hi) {
-    Node leaf;
-    leaf.window_lo = leaf.window_hi = leaves[lo].first;
-    leaf.counts = leaves[lo].second;
-    for (const auto& [cell, count] : leaf.counts) leaf.records += count;
-    nodes_.push_back(std::move(leaf));
-    return static_cast<int>(nodes_.size() - 1);
-  }
-  const size_t mid = lo + (hi - lo) / 2;
-  const int left = BuildRange(leaves, lo, mid);
-  const int right = BuildRange(leaves, mid + 1, hi);
-  Node inner;
-  inner.window_lo = nodes_[static_cast<size_t>(left)].window_lo;
-  inner.window_hi = nodes_[static_cast<size_t>(right)].window_hi;
-  inner.left = left;
-  inner.right = right;
-  inner.counts = nodes_[static_cast<size_t>(left)].counts;
-  MergeCounts(&inner.counts, nodes_[static_cast<size_t>(right)].counts);
-  inner.records = nodes_[static_cast<size_t>(left)].records +
-                  nodes_[static_cast<size_t>(right)].records;
-  nodes_.push_back(std::move(inner));
-  return static_cast<int>(nodes_.size() - 1);
 }
 
 int64_t WindowSegmentTree::min_window() const {
   SLIM_CHECK(!empty());
-  return nodes_[static_cast<size_t>(root_)].window_lo;
+  return windows_.front();
 }
 
 int64_t WindowSegmentTree::max_window() const {
   SLIM_CHECK(!empty());
-  return nodes_[static_cast<size_t>(root_)].window_hi;
+  return windows_.back();
 }
 
-uint64_t WindowSegmentTree::total_records() const {
-  return empty() ? 0 : nodes_[static_cast<size_t>(root_)].records;
-}
-
-void WindowSegmentTree::Collect(int node, int64_t w_begin, int64_t w_end,
-                                std::vector<int>* out) const {
-  if (node < 0) return;
-  const Node& n = nodes_[static_cast<size_t>(node)];
-  if (n.window_hi < w_begin || n.window_lo >= w_end) return;  // disjoint
-  if (n.window_lo >= w_begin && n.window_hi < w_end) {        // contained
-    out->push_back(node);
-    return;
-  }
-  Collect(n.left, w_begin, w_end, out);
-  Collect(n.right, w_begin, w_end, out);
+std::pair<size_t, size_t> WindowSegmentTree::LeafRange(int64_t w_begin,
+                                                       int64_t w_end) const {
+  const auto first =
+      std::lower_bound(windows_.begin(), windows_.end(), w_begin);
+  const auto last = std::lower_bound(first, windows_.end(), w_end);
+  return {offsets_[static_cast<size_t>(first - windows_.begin())],
+          offsets_[static_cast<size_t>(last - windows_.begin())]};
 }
 
 WindowSegmentTree::CellCounts WindowSegmentTree::RangeCellCounts(
@@ -127,20 +86,25 @@ WindowSegmentTree::CellCounts WindowSegmentTree::RangeCellCounts(
   if (empty() || w_begin >= w_end) return result;
   SLIM_CHECK_MSG(spatial_level >= 0 && spatial_level <= leaf_level_,
                  "query spatial level must be <= leaf level");
-  std::vector<int> canonical;
-  Collect(root_, w_begin, w_end, &canonical);
-  if (canonical.empty()) return result;
-
-  // std::map, not unordered: result is assigned straight from the
-  // aggregate, so its traversal order (sorted by cell id) is the output
-  // order DominatingCell's tie-break depends on.
-  std::map<CellId, uint32_t> agg;
-  for (int node : canonical) {
-    for (const auto& [cell, count] : nodes_[static_cast<size_t>(node)].counts) {
-      agg[cell.Parent(spatial_level)] += count;
+  const auto [first, last] = LeafRange(w_begin, w_end);
+  result.reserve(last - first);
+  for (size_t p = first; p < last; ++p) {
+    result.emplace_back(cells_[p].first.Parent(spatial_level),
+                        cells_[p].second);
+  }
+  // Sorted by cell id, one entry per cell: the order DominatingCell's
+  // tie-break depends on.
+  std::sort(result.begin(), result.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  size_t out = 0;
+  for (size_t p = 0; p < result.size(); ++p) {
+    if (out > 0 && result[out - 1].first == result[p].first) {
+      result[out - 1].second += result[p].second;
+    } else {
+      result[out++] = result[p];
     }
   }
-  result.assign(agg.begin(), agg.end());
+  result.resize(out);
   return result;
 }
 
@@ -158,10 +122,9 @@ std::optional<CellId> WindowSegmentTree::DominatingCell(
 uint64_t WindowSegmentTree::RangeRecordCount(int64_t w_begin,
                                              int64_t w_end) const {
   if (empty() || w_begin >= w_end) return 0;
-  std::vector<int> canonical;
-  Collect(root_, w_begin, w_end, &canonical);
+  const auto [first, last] = LeafRange(w_begin, w_end);
   uint64_t total = 0;
-  for (int node : canonical) total += nodes_[static_cast<size_t>(node)].records;
+  for (size_t p = first; p < last; ++p) total += cells_[p].second;
   return total;
 }
 

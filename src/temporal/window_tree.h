@@ -1,17 +1,20 @@
-// Hierarchical temporal aggregation over a mobility history (paper Fig. 1).
+// Per-entity temporal aggregation over a mobility history (paper Fig. 1).
 //
-// Leaves are the occupied time windows of one entity, each holding the
-// spatial cells seen in that window with per-cell record counts. Every
-// internal node aggregates the cell -> count mapping of its subtree, exactly
-// as the paper's mobility-history tree: "each non-leaf node keeps the
-// occurrence counts of the cell ids in its sub-tree".
+// The paper's mobility-history tree keeps, in every node, the cell -> count
+// map of its subtree, so that any time range is answered by merging
+// O(log n) canonical nodes. The only range query SLIM makes of it is the
+// LSH layer's *dominating cell* (Sec. 4): "the grid cell containing most
+// records of the owner entity in a given time range", optionally at a
+// coarser spatial level than the leaf cells, over consecutive fixed-width
+// steps of a global grid. Each step reads each leaf once, so aggregated
+// inner nodes buy nothing there, and they held most of a context's heap.
 //
-// The tree exists to answer the LSH layer's *dominating-cell* queries
-// (Sec. 4): "the grid cell containing most records of the owner entity in a
-// given time range", optionally aggregated at a coarser spatial level than
-// the leaf cells. A query for range [w_begin, w_end) visits O(log n)
-// canonical nodes and merges their (already aggregated) count maps, instead
-// of rescanning the records.
+// The index is therefore flat: only the leaves are kept, in three arrays —
+// the sorted distinct occupied windows, a uint32_t offset per window, and
+// one (cell, count) array sorted by cell within each window. A range query
+// finds its windows by binary search, maps each leaf cell to its ancestor
+// at the query level, sorts and sums. The class keeps its segment-tree
+// name and API because external callers compile against them.
 #ifndef SLIM_TEMPORAL_WINDOW_TREE_H_
 #define SLIM_TEMPORAL_WINDOW_TREE_H_
 
@@ -32,7 +35,7 @@ struct WindowedCellCount {
   uint32_t count = 0;
 };
 
-/// Segment tree over the occupied windows of one entity.
+/// Flat leaf index over the occupied windows of one entity.
 class WindowSegmentTree {
  public:
   /// An aggregated (cell, record count) entry, sorted by cell id.
@@ -40,22 +43,23 @@ class WindowSegmentTree {
 
   WindowSegmentTree() = default;
 
-  /// Builds the tree from leaf observations. Entries may arrive unsorted and
-  /// may repeat a (window, cell) pair; counts are summed. Invalid cells and
-  /// zero counts are rejected.
+  /// Builds the index from leaf observations. Entries may arrive unsorted
+  /// (they are sorted only when not already (window, cell)-ordered) and may
+  /// repeat a (window, cell) pair; counts are summed. Invalid cells, zero
+  /// counts and mixed cell levels are rejected.
   static WindowSegmentTree Build(std::vector<WindowedCellCount> entries);
 
-  bool empty() const { return nodes_.empty(); }
+  bool empty() const { return windows_.empty(); }
 
   /// Number of occupied leaf windows.
-  size_t num_windows() const { return num_leaves_; }
+  size_t num_windows() const { return windows_.size(); }
 
   /// Smallest / largest occupied window index. Requires !empty().
   int64_t min_window() const;
   int64_t max_window() const;
 
   /// Total records across the whole history.
-  uint64_t total_records() const;
+  uint64_t total_records() const { return total_records_; }
 
   /// The cell with the highest record count in [w_begin, w_end), with cells
   /// first mapped to their ancestor at `spatial_level` (which must not
@@ -78,26 +82,14 @@ class WindowSegmentTree {
   int leaf_spatial_level() const { return leaf_level_; }
 
  private:
-  struct Node {
-    int64_t window_lo = 0;  // inclusive, in window-index space
-    int64_t window_hi = 0;  // inclusive
-    int left = -1;          // child node indices; -1 for leaves
-    int right = -1;
-    CellCounts counts;      // aggregated cell -> record count
-    uint64_t records = 0;   // sum of counts
-  };
+  // Positions [first, last) in cells_ of the leaves whose windows lie in
+  // [w_begin, w_end). Requires !empty().
+  std::pair<size_t, size_t> LeafRange(int64_t w_begin, int64_t w_end) const;
 
-  // Recursively builds over leaves_[lo..hi] (indices into the sorted,
-  // deduplicated leaf array). Returns node index.
-  int BuildRange(const std::vector<std::pair<int64_t, CellCounts>>& leaves,
-                 size_t lo, size_t hi);
-
-  void Collect(int node, int64_t w_begin, int64_t w_end,
-               std::vector<int>* out) const;
-
-  std::vector<Node> nodes_;
-  int root_ = -1;
-  size_t num_leaves_ = 0;
+  std::vector<int64_t> windows_;   // sorted distinct occupied windows
+  std::vector<uint32_t> offsets_;  // windows_.size() + 1 offsets into cells_
+  CellCounts cells_;               // per window, sorted by cell, summed
+  uint64_t total_records_ = 0;
   int leaf_level_ = -1;
 };
 

@@ -4,11 +4,15 @@
 #include "core/history.h"
 
 #include <cmath>
+#include <map>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/linkage_context.h"
+#include "geo/covering.h"
+#include "temporal/time_window.h"
 #include "test_util.h"
 
 namespace slim {
@@ -85,6 +89,37 @@ TEST(GroupRecordsIntoBins, BinsSortedByWindowThenCell) {
     const auto& cur = bins[i];
     EXPECT_TRUE(prev.window < cur.window ||
                 (prev.window == cur.window && prev.cell < cur.cell));
+  }
+}
+
+// Point and region records, in no time order and with repeated
+// (window, cell) keys, against a (window, cell) -> count map.
+TEST(GroupRecordsIntoBins, EqualsAMapCountOfTheRecords) {
+  Rng rng(5);
+  std::vector<Record> recs;
+  for (int i = 0; i < 300; ++i) {
+    recs.push_back({1, testing::RandomPointInBox(&rng),
+                    rng.NextInt64(-5, 12) * kWindow + rng.NextInt64(0, 899)});
+  }
+  for (const double radius : {0.0, 1500.0}) {
+    HistoryConfig config = Config(11);
+    config.region_radius_meters = radius;
+    std::map<std::pair<int64_t, CellId>, uint32_t> expect;
+    for (const Record& r : recs) {
+      const int64_t w = WindowIndexOf(r.timestamp, kWindow);
+      if (radius > 0.0) {
+        for (const CellId c : CellsCoveringDisc(r.location, radius, 11)) {
+          ++expect[{w, c}];
+        }
+      } else {
+        ++expect[{w, CellId::FromLatLng(r.location, 11)}];
+      }
+    }
+    std::vector<TimeLocationBin> want;
+    for (const auto& [key, count] : expect) {
+      want.push_back({key.first, key.second, count});
+    }
+    EXPECT_EQ(GroupRecordsIntoBins(recs, config), want) << "radius " << radius;
   }
 }
 

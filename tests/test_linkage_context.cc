@@ -90,6 +90,40 @@ TEST(BinVocabulary, IdsAreDenseAndOrderedByWindowThenCell) {
   EXPECT_FALSE(ctx.vocab.Find(999999, ctx.vocab.cell(0)).has_value());
 }
 
+TEST(BinVocabulary, ParallelBuildEqualsASerialSortAndUnique) {
+  const ReferenceHistories ref_e(RandomDataset(41, 9, 70, "a"), Config());
+  const ReferenceHistories ref_i(RandomDataset(42, 7, 70, "b"), Config());
+  std::vector<std::vector<TimeLocationBin>> with_empty = ref_i.bins;
+  with_empty.insert(with_empty.begin() + 2, {});  // an entity without bins
+  const std::vector<std::vector<TimeLocationBin>> none;
+  using Sides = std::pair<const std::vector<std::vector<TimeLocationBin>>*,
+                          const std::vector<std::vector<TimeLocationBin>>*>;
+  for (const auto& [side_e, side_i] :
+       {Sides{&ref_e.bins, &with_empty}, Sides{&ref_e.bins, &none},
+        Sides{&none, &ref_i.bins}, Sides{&none, &none}}) {
+    std::vector<std::pair<int64_t, CellId>> expect;
+    for (const auto* side : {side_e, side_i}) {
+      for (const auto& bins : *side) {
+        for (const TimeLocationBin& bin : bins) {
+          expect.emplace_back(bin.window, bin.cell);
+        }
+      }
+    }
+    std::sort(expect.begin(), expect.end());
+    expect.erase(std::unique(expect.begin(), expect.end()), expect.end());
+    for (const int threads : {1, 2, 3, 4, 7}) {
+      const BinVocabulary vocab =
+          BinVocabulary::Build(*side_e, *side_i, threads);
+      ASSERT_EQ(vocab.size(), expect.size()) << threads << " threads";
+      for (BinId bin = 0; bin < vocab.size(); ++bin) {
+        EXPECT_EQ(std::make_pair(vocab.window(bin), vocab.cell(bin)),
+                  expect[bin])
+            << threads << " threads, bin " << bin;
+      }
+    }
+  }
+}
+
 TEST(HistoryStore, CsrLayoutMatchesPerEntityBinning) {
   const LocationDataset a = RandomDataset(3, 8, 60, "a");
   const LocationDataset b = RandomDataset(4, 8, 60, "b");

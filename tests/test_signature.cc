@@ -1,10 +1,18 @@
 #include "lsh/signature.h"
 
+#include <algorithm>
 #include <cmath>
+#include <map>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/candidates.h"
+#include "core/history.h"
+#include "core/linkage_context.h"
 #include "stats/lambert_w.h"
+#include "test_util.h"
 
 namespace slim {
 namespace {
@@ -142,6 +150,74 @@ TEST(Signature, StepLargerThanSpanYieldsSingleQuery) {
   const WindowSegmentTree tree = TreeOf({{0, Cell(12, 1, 1), 1}});
   const LshSignature sig = BuildSignature(tree, 0, 3, 100, 12);
   EXPECT_EQ(sig.size(), 1u);
+}
+
+// The pipeline's signatures (BuildSignature over each store's index on the
+// GlobalWindowSpan grid) against an aggregation made here from each
+// entity's GroupRecordsIntoBins output: per step, the records of every bin
+// in the step summed under its cell's ancestor at the signature level; the
+// most records win, the smaller cell on a tie, and a step without records
+// is a placeholder.
+TEST(Signature, ContextSignaturesMatchAPerStepAggregationOfTheBins) {
+  constexpr int64_t kWindow = 900;
+  auto random_dataset = [](uint64_t seed, const char* name) {
+    Rng rng(seed);
+    LocationDataset ds(name);
+    for (EntityId e = 0; e < 12; ++e) {
+      for (int i = 0; i < 80; ++i) {
+        // Pre-epoch windows too, and a few entities with no record in most
+        // steps.
+        const int64_t window = e % 4 == 0 ? rng.NextInt64(30, 33)
+                                          : rng.NextInt64(-20, 60);
+        ds.Add(e, testing::RandomPointInBox(&rng),
+               window * kWindow + rng.NextInt64(0, kWindow - 1));
+      }
+    }
+    ds.Finalize();
+    return ds;
+  };
+  const LocationDataset a = random_dataset(11, "a");
+  const LocationDataset b = random_dataset(12, "b");
+  HistoryConfig config;
+  config.spatial_level = 14;
+  config.window_seconds = kWindow;
+  const LinkageContext ctx = LinkageContext::Build(a, b, config, 3);
+  const LshWindowSpan span = GlobalWindowSpan(ctx);
+  ASSERT_FALSE(span.empty());
+
+  for (const auto& [step, level] :
+       std::vector<std::pair<int, int>>{{1, 14}, {3, 14}, {8, 11}, {48, 9}}) {
+    for (const auto& [store, ds] : {std::pair{&ctx.store_e, &a},
+                                    std::pair{&ctx.store_i, &b}}) {
+      for (EntityIdx u = 0; u < store->size(); ++u) {
+        const std::vector<TimeLocationBin> bins = GroupRecordsIntoBins(
+            ds->RecordsOf(store->entity_id(u)), config);
+        std::vector<uint64_t> expect;
+        for (int64_t lo = span.lo; lo < span.end; lo += step) {
+          const int64_t hi = std::min(span.end, lo + step);
+          std::map<CellId, uint64_t> counts;
+          for (const TimeLocationBin& bin : bins) {
+            if (bin.window >= lo && bin.window < hi) {
+              counts[bin.cell.Parent(level)] += bin.record_count;
+            }
+          }
+          uint64_t best = kSignaturePlaceholder;
+          uint64_t best_count = 0;
+          for (const auto& [cell, count] : counts) {
+            if (count > best_count) {
+              best = cell.raw();
+              best_count = count;
+            }
+          }
+          expect.push_back(best);
+        }
+        const LshSignature sig =
+            BuildSignature(store->tree(u), span.lo, span.end, step, level);
+        EXPECT_EQ(sig.cells, expect)
+            << "entity " << u << " step " << step << " level " << level;
+      }
+    }
+  }
 }
 
 }  // namespace

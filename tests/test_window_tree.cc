@@ -123,7 +123,9 @@ TEST(WindowSegmentTree, SparseWindowsQueryCorrectly) {
 }
 
 // Property test: range queries must agree with a brute-force recomputation
-// over random leaf data, for random ranges and levels.
+// over random leaf data, for random ranges and levels. The entries repeat
+// (window, cell) pairs and arrive unsorted; the same entries sorted take
+// the build's no-sort path, and both indexes must give the same answers.
 class WindowTreeProperty : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(WindowTreeProperty, RangeCountsMatchBruteForce) {
@@ -131,12 +133,25 @@ TEST_P(WindowTreeProperty, RangeCountsMatchBruteForce) {
   std::vector<WindowedCellCount> entries;
   const int n = 200;
   for (int k = 0; k < n; ++k) {
+    // A 16 x 16 patch of cells and counts 1..3 make equal maximal counts
+    // (ties) common at every query level.
     entries.push_back(
         {rng.NextInt64(-50, 50),
-         Cell(14, rng.NextUint64(100) + 1000, rng.NextUint64(100) + 1000),
-         static_cast<uint32_t>(rng.NextInt64(1, 5))});
+         Cell(14, rng.NextUint64(16) + 1000, rng.NextUint64(16) + 1000),
+         static_cast<uint32_t>(rng.NextInt64(1, 3))});
   }
-  const WindowSegmentTree tree = WindowSegmentTree::Build(entries);
+  for (int k = 0; k < n / 4; ++k) {
+    entries.push_back(entries[rng.NextUint64(n)]);
+  }
+  const auto before = [](const WindowedCellCount& a,
+                         const WindowedCellCount& b) {
+    return a.window != b.window ? a.window < b.window : a.cell < b.cell;
+  };
+  ASSERT_FALSE(std::is_sorted(entries.begin(), entries.end(), before));
+  std::vector<WindowedCellCount> sorted = entries;
+  std::sort(sorted.begin(), sorted.end(), before);
+  const WindowSegmentTree unsorted_tree = WindowSegmentTree::Build(entries);
+  const WindowSegmentTree sorted_tree = WindowSegmentTree::Build(sorted);
 
   for (int q = 0; q < 50; ++q) {
     const int64_t lo = rng.NextInt64(-60, 60);
@@ -152,28 +167,29 @@ TEST_P(WindowTreeProperty, RangeCountsMatchBruteForce) {
         expect_total += e.count;
       }
     }
-
-    const auto got = tree.RangeCellCounts(lo, hi, level);
-    ASSERT_EQ(got.size(), expect.size()) << "range [" << lo << "," << hi << ")";
-    for (const auto& [cell, count] : got) {
-      EXPECT_EQ(expect.at(cell), count);
-    }
-    EXPECT_EQ(tree.RangeRecordCount(lo, hi), expect_total);
-
-    if (!expect.empty()) {
-      uint32_t best_count = 0;
-      CellId best;
-      for (const auto& [cell, count] : expect) {
-        if (count > best_count) {
-          best_count = count;
-          best = cell;
-        }
+    // The dominating cell: the first, so smallest, cell of maximal count.
+    uint32_t best_count = 0;
+    CellId best;
+    for (const auto& [cell, count] : expect) {
+      if (count > best_count) {
+        best_count = count;
+        best = cell;
       }
-      // The tree's pick must have the maximal count (ties allowed).
-      const CellId dom = tree.DominatingCell(lo, hi, level).value();
-      EXPECT_EQ(expect.at(dom), best_count);
-    } else {
-      EXPECT_FALSE(tree.DominatingCell(lo, hi, level).has_value());
+    }
+
+    for (const WindowSegmentTree* tree : {&unsorted_tree, &sorted_tree}) {
+      const auto got = tree->RangeCellCounts(lo, hi, level);
+      ASSERT_EQ(got, WindowSegmentTree::CellCounts(expect.begin(),
+                                                   expect.end()))
+          << "range [" << lo << "," << hi << ")";
+      EXPECT_EQ(tree->RangeRecordCount(lo, hi), expect_total);
+      const auto dom = tree->DominatingCell(lo, hi, level);
+      if (expect.empty()) {
+        EXPECT_FALSE(dom.has_value());
+      } else {
+        EXPECT_EQ(dom, best) << "range [" << lo << "," << hi << ") level "
+                             << level;
+      }
     }
   }
 }
