@@ -190,6 +190,35 @@ void BM_SimilarityScorePair(benchmark::State& state) {
 }
 BENCHMARK(BM_SimilarityScorePair);
 
+// A dense commute-shaped pair: every commuter occupies about a quarter of
+// the two-week span's windows, so both sides keep window bitmaps and the
+// pairs take the bitmap intersection.
+void BM_SimilarityScoreDensePair(benchmark::State& state) {
+  CommuteGeneratorOptions opt;
+  opt.num_commuters = 16;
+  const LocationDataset ds = GenerateCommuteDataset(opt);
+  const LinkageContext ctx = LinkageContext::Build(ds, ds, HistoryConfig{});
+  const SimilarityEngine engine(ctx, SimilarityConfig{});
+  const size_t n = ctx.store_e.size();
+  for (EntityIdx u = 0; u < n; ++u) {
+    if (!engine.HasWindowBitmap(LinkageSide::kE, u)) {
+      state.SkipWithError("a commuter without a window bitmap");
+      return;
+    }
+  }
+  SimilarityStats stats;
+  ScoreScratch scratch;
+  size_t i = 0;
+  for (auto _ : state) {
+    const auto u = static_cast<EntityIdx>(i % n);
+    const auto v = static_cast<EntityIdx>((i + 1) % n);
+    benchmark::DoNotOptimize(
+        engine.ScoreIndexed(u, v, &stats, nullptr, &scratch));
+    ++i;
+  }
+}
+BENCHMARK(BM_SimilarityScoreDensePair);
+
 void BM_MnnPairing(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   Rng rng(6);

@@ -157,21 +157,27 @@ void HistoryStoreBuilder::Fill(const LocationDataset& dataset,
 }
 
 std::optional<BinId> BinVocabulary::Find(int64_t window, CellId cell) const {
-  // Lower bound over the (window, cell-raw)-sorted parallel arrays.
-  size_t lo = 0, hi = windows_.size();
-  while (lo < hi) {
-    const size_t mid = lo + (hi - lo) / 2;
-    if (windows_[mid] < window ||
-        (windows_[mid] == window && cells_[mid] < cell)) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
+  const auto run =
+      std::lower_bound(run_windows_.begin(), run_windows_.end(), window);
+  if (run == run_windows_.end() || *run != window) return std::nullopt;
+  const size_t k = static_cast<size_t>(run - run_windows_.begin());
+  const CellId* first = cells_.data() + run_starts_[k];
+  const CellId* last = cells_.data() + run_starts_[k + 1];
+  const CellId* it = std::lower_bound(first, last, cell);
+  if (it == last || *it != cell) return std::nullopt;
+  return static_cast<BinId>(it - cells_.data());
+}
+
+void BinVocabulary::IndexWindowRuns() {
+  run_windows_.clear();
+  run_starts_.clear();
+  for (size_t b = 0; b < windows_.size(); ++b) {
+    if (b == 0 || windows_[b] != windows_[b - 1]) {
+      run_windows_.push_back(windows_[b]);
+      run_starts_.push_back(static_cast<BinId>(b));
     }
   }
-  if (lo < windows_.size() && windows_[lo] == window && cells_[lo] == cell) {
-    return static_cast<BinId>(lo);
-  }
-  return std::nullopt;
+  run_starts_.push_back(static_cast<BinId>(windows_.size()));
 }
 
 BinVocabulary BinVocabulary::Build(
@@ -229,6 +235,7 @@ BinVocabulary BinVocabulary::Build(
                  "bin vocabulary exceeds 2^32 entries");
   windows.shrink_to_fit();
   cells.shrink_to_fit();
+  vocab.IndexWindowRuns();
   return vocab;
 }
 

@@ -71,7 +71,8 @@ class BinVocabulary {
   CellId cell(BinId b) const { return cells_[b]; }
 
   /// BinId of (window, cell); nullopt when the bin occurs in neither
-  /// dataset. O(log size) binary search.
+  /// dataset. A binary search over the distinct windows (a few thousand,
+  /// so it stays in cache), then over the cells of that window's run.
   std::optional<BinId> Find(int64_t window, CellId cell) const;
 
   /// Builds the vocabulary from per-side bin lists (each inner vector is
@@ -88,9 +89,17 @@ class BinVocabulary {
  private:
   friend class SctxIo;  // serialisation + mapped views (core/sctx.cc)
 
+  // Indexes Find's window runs from windows_; runs wherever windows_ is
+  // set (Build and SctxIo's mapping).
+  void IndexWindowRuns();
+
   // Parallel arrays indexed by BinId, sorted by (window, cell raw).
   FlatArray<int64_t> windows_;
   FlatArray<CellId> cells_;
+  // The distinct windows, ascending, and the BinId where each one's run of
+  // bins starts, plus a final sentinel (the vocabulary's size).
+  std::vector<int64_t> run_windows_;
+  std::vector<BinId> run_starts_;
 };
 
 /// One dataset's histories in a flat CSR layout plus the dataset-level

@@ -61,16 +61,15 @@ void MutualNearestAndFurthestPairs(std::span<const double> dist, size_t m,
   out->furthest.clear();
   if (m == 0 || n == 0) return;
 
-  // Fast path: one bin on either side — nearest is the argmin, furthest
-  // the argmax; no sort.
+  // Fast path: one bin on either side (SingleRowExtremes); no sort.
   if (m == 1 || n == 1) {
-    size_t arg_min = 0, arg_max = 0;
-    for (size_t k = 1; k < dist.size(); ++k) {
-      if (dist[k] < dist[arg_min]) arg_min = k;
-      if (dist[k] > dist[arg_max]) arg_max = k;
+    SingleRowExtremes extremes;
+    for (const double d : dist) extremes.Add(d);
+    out->nearest.emplace_back(extremes.arg_min() / n, extremes.arg_min() % n);
+    if (need_furthest) {
+      out->furthest.emplace_back(extremes.arg_max() / n,
+                                 extremes.arg_max() % n);
     }
-    out->nearest.emplace_back(arg_min / n, arg_min % n);
-    if (need_furthest) out->furthest.emplace_back(arg_max / n, arg_max % n);
     return;
   }
 

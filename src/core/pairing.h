@@ -37,10 +37,44 @@ std::vector<BinPair> MutuallyNearestPairs(const std::vector<double>& dist,
 std::vector<BinPair> MutuallyFurthestPairs(const std::vector<double>& dist,
                                            size_t m, size_t n);
 
+/// Both pairings of a window with one bin on a side (1xN or Mx1): N is
+/// the first entry in row-major order at the smallest distance, N' the
+/// first at the largest. Add() the window's distances in row-major order.
+/// MutualNearestAndFurthestPairs' fast path and the similarity engine,
+/// which scores such windows without building a distance matrix, both use
+/// this one rule.
+class SingleRowExtremes {
+ public:
+  void Add(double d) {
+    if (count_ == 0 || d < min_) {
+      arg_min_ = count_;
+      min_ = d;
+    }
+    if (count_ == 0 || d > max_) {
+      arg_max_ = count_;
+      max_ = d;
+    }
+    ++count_;
+  }
+  /// Row-major index and distance of the entry N pairs.
+  size_t arg_min() const { return arg_min_; }
+  double min_distance() const { return min_; }
+  /// Row-major index and distance of the entry N' pairs.
+  size_t arg_max() const { return arg_max_; }
+  double max_distance() const { return max_; }
+
+ private:
+  size_t count_ = 0;
+  size_t arg_min_ = 0;
+  size_t arg_max_ = 0;
+  double min_ = 0.0;
+  double max_ = 0.0;
+};
+
 /// Both pairings from one shared sort of the distance matrix — the scoring
 /// hot path (Alg. 1 needs N and N' for every common window), and the only
-/// pairing the similarity engine runs. Fast paths handle the ubiquitous
-/// 1x1, 1xN and Mx1 windows without sorting.
+/// pairing the similarity engine runs on windows with at least two bins a
+/// side. Fast paths handle 1x1, 1xN and Mx1 windows without sorting.
 ///
 /// `nearest` always equals MutuallyNearestPairs(). `furthest` equals
 /// MutuallyFurthestPairs() whenever the distances are distinct, and in

@@ -259,6 +259,7 @@ class SctxIo {
     ctx.vocab.cells_ =
         FlatArray<CellId>::View(reinterpret_cast<const CellId*>(vocab_cells),
                                 vocab);
+    ctx.vocab.IndexWindowRuns();
 
     HistoryStore* stores[2] = {&ctx.store_e, &ctx.store_i};
     for (int s = 0; s < 2; ++s) {

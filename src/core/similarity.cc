@@ -74,6 +74,8 @@ SimilarityEngine::SimilarityEngine(const LinkageContext& context,
       norm_i_[v] = ctx_.store_i.LengthNorm(v, config_.b);
     }
   }
+  bitmaps_e_ = BuildWindowBitmaps(ctx_.store_e);
+  bitmaps_i_ = BuildWindowBitmaps(ctx_.store_i);
 
   // The table costs K(K+1)/2 distances whatever the link then scores, so
   // the engine builds it only when K is at most kCellDistanceTableMaxCells
@@ -113,6 +115,73 @@ SimilarityEngine::SimilarityEngine(const LinkageContext& context,
   });
 }
 
+SimilarityEngine::WindowBitmaps SimilarityEngine::BuildWindowBitmaps(
+    const HistoryStore& store) {
+  // Density needs only an entity's first and last window and its count, so
+  // a sparse store (check-ins) costs one pass over its entities.
+  WindowBitmaps maps;
+  maps.spans.resize(store.size());
+  size_t total_words = 0;
+  for (EntityIdx u = 0; u < store.size(); ++u) {
+    const auto windows = store.windows(u);
+    if (windows.size() < kBitmapMinWindows) continue;
+    const int64_t first_word = windows.front() >> 6;
+    const uint64_t words =
+        static_cast<uint64_t>((windows.back() >> 6) - first_word) + 1;
+    if (words > windows.size()) continue;
+    maps.spans[u] = {first_word, static_cast<uint32_t>(total_words),
+                     static_cast<uint32_t>(words)};
+    total_words += words;
+  }
+  maps.bits.assign(total_words, 0);
+  maps.rank.resize(total_words);
+  for (EntityIdx u = 0; u < store.size(); ++u) {
+    const WindowBitmaps::Span& span = maps.spans[u];
+    if (span.words == 0) continue;
+    uint64_t* bits = maps.bits.data() + span.offset;
+    for (const int64_t w : store.windows(u)) {
+      bits[(w >> 6) - span.first_word] |= uint64_t{1} << (w & 63);
+    }
+    uint32_t before = 0;
+    for (uint32_t k = 0; k < span.words; ++k) {
+      maps.rank[span.offset + k] = before;
+      before += static_cast<uint32_t>(std::popcount(bits[k]));
+    }
+  }
+  return maps;
+}
+
+size_t SimilarityEngine::IntersectWindowBitmaps(const WindowBitmaps& a,
+                                                EntityIdx u,
+                                                const WindowBitmaps& b,
+                                                EntityIdx v, uint32_t* out_a,
+                                                uint32_t* out_b) {
+  const WindowBitmaps::Span& su = a.spans[u];
+  const WindowBitmaps::Span& sv = b.spans[v];
+  const int64_t lo = std::max(su.first_word, sv.first_word);
+  const int64_t hi = std::min(su.first_word + su.words,
+                              sv.first_word + sv.words);
+  size_t matched = 0;
+  for (int64_t k = lo; k < hi; ++k) {
+    const size_t ia = su.offset + static_cast<size_t>(k - su.first_word);
+    const size_t ib = sv.offset + static_cast<size_t>(k - sv.first_word);
+    const uint64_t word_a = a.bits[ia];
+    const uint64_t word_b = b.bits[ib];
+    // Set bits low to high are the shared windows in ascending order; an
+    // entity's bits below a shared bit count its windows before it in
+    // this word.
+    for (uint64_t both = word_a & word_b; both != 0; both &= both - 1) {
+      const uint64_t below = (both - 1) & ~both;
+      out_a[matched] = a.rank[ia] +
+                       static_cast<uint32_t>(std::popcount(word_a & below));
+      out_b[matched] = b.rank[ib] +
+                       static_cast<uint32_t>(std::popcount(word_b & below));
+      ++matched;
+    }
+  }
+  return matched;
+}
+
 double SimilarityEngine::Score(EntityId u, EntityId v, SimilarityStats* stats,
                                CellDistanceCache* cache,
                                ScoreScratch* scratch) const {
@@ -145,10 +214,12 @@ double SimilarityEngine::ScoreIndexed(EntityIdx u, EntityIdx v,
   }
   if (overlap == 0) return 0.0;
 
-  // Second gate: the real sorted-window intersection (galloping when the
-  // lengths are badly skewed). Everything a zero-match pair does not
-  // need — norm factors, bin/idf pointers — loads only after the match
-  // count survives the early-out.
+  // Second gate: the real window intersection — over the bitmaps when both
+  // entities keep one (the window counts are checked first, so a sparse
+  // pair never loads a bitmap span), otherwise the sorted-list merge
+  // (galloping when the lengths are badly skewed). Everything a zero-match
+  // pair does not need — norm factors, bin/idf pointers — loads only after
+  // the match count survives the early-out.
   const auto wu = se.windows(u);
   const auto wv = si.windows(v);
   if (wu.empty() || wv.empty()) return 0.0;
@@ -162,8 +233,12 @@ double SimilarityEngine::ScoreIndexed(EntityIdx u, EntityIdx v,
     s.match_b.resize(cap);
   }
   const size_t matched =
-      IntersectSortedI64(wu.data(), wu.size(), wv.data(), wv.size(),
-                         s.match_a.data(), s.match_b.data());
+      cap >= kBitmapMinWindows && bitmaps_e_.spans[u].words != 0 &&
+              bitmaps_i_.spans[v].words != 0
+          ? IntersectWindowBitmaps(bitmaps_e_, u, bitmaps_i_, v,
+                                   s.match_a.data(), s.match_b.data())
+          : IntersectSortedI64(wu.data(), wu.size(), wv.data(), wv.size(),
+                               s.match_a.data(), s.match_b.data());
   if (matched == 0) return 0.0;
 
   // Normalisation divisor (Eq. 2); 1 when disabled.
@@ -223,6 +298,56 @@ double SimilarityEngine::ScoreIndexed(EntityIdx u, EntityIdx v,
       continue;
     }
 
+    // Contribution of one bin pair at distance d, per Eq. 2.
+    auto contribution = [&](BinId bu, BinId bv, double d) {
+      const double p =
+          table != nullptr
+              ? table[cell_of[bu] * k_cells + cell_of[bv]].proximity
+              : SpatialProximity(d, runaway_m_,
+                                 config_.proximity.clamp_epsilon);
+      if (IsAlibi(d, runaway_m_)) ++stats->alibi_pairs;
+      const double idf =
+          config_.use_idf ? std::min(idf_e[bu], idf_i[bv]) : 1.0;
+      return p * idf / norm;
+    };
+    stats->record_comparisons += static_cast<uint64_t>(m) * n;
+    if (table != nullptr) stats->cache_hits += static_cast<uint64_t>(m) * n;
+
+    if (config_.pairing == PairingKind::kMutuallyNearest &&
+        (m == 1 || n == 1)) {
+      // One bin on a side: N and N' come from the pairing's single-row
+      // rule (core/pairing.h) over distances computed on the fly, with no
+      // matrix; N' is skipped when it is N's entry. k walks the row-major
+      // index.
+      const BinId* row = m == 1 ? bins_i + vb : bins_e + ub;
+      const BinId single = m == 1 ? bins_e[ub] : bins_i[vb];
+      auto bin_pair = [&](size_t k) {
+        return m == 1 ? std::pair{single, row[k]} : std::pair{row[k], single};
+      };
+      SingleRowExtremes extremes;
+      for (size_t k = 0; k < m * n; ++k) {
+        const auto [bu, bv] = bin_pair(k);
+        double d;
+        if (table != nullptr) {
+          d = table[cell_of[bu] * k_cells + cell_of[bv]].distance;
+        } else {
+          const CellId cell_u = vocab.cell(bu);
+          const CellId cell_v = vocab.cell(bv);
+          d = cache != nullptr ? cache->Get(cell_u, cell_v)
+                               : MinDistanceMeters(cell_u, cell_v);
+        }
+        extremes.Add(d);
+      }
+      const auto [nu, nv] = bin_pair(extremes.arg_min());
+      score += contribution(nu, nv, extremes.min_distance());
+      if (config_.use_mfn && extremes.arg_max() != extremes.arg_min()) {
+        const auto [fu, fv] = bin_pair(extremes.arg_max());
+        const double delta = contribution(fu, fv, extremes.max_distance());
+        if (delta < 0.0) score += delta;
+      }
+      continue;
+    }
+
     // General m x n window: distance matrix computed once and shared by
     // the N and N' passes.
     s.dist.resize(m * n);
@@ -234,7 +359,6 @@ double SimilarityEngine::ScoreIndexed(EntityIdx u, EntityIdx v,
           dist[r * n + c] = row[cell_of[bins_i[vb + c]]].distance;
         }
       }
-      stats->cache_hits += static_cast<uint64_t>(m) * n;
     } else {
       for (size_t r = 0; r < m; ++r) {
         const CellId cell_u = vocab.cell(bins_e[ub + r]);
@@ -246,27 +370,13 @@ double SimilarityEngine::ScoreIndexed(EntityIdx u, EntityIdx v,
         }
       }
     }
-    stats->record_comparisons += static_cast<uint64_t>(m) * n;
-
-    // Contribution of one bin pair, per Eq. 2.
-    auto contribution = [&](size_t r, size_t c) {
-      const BinId bu = bins_e[ub + r];
-      const BinId bv = bins_i[vb + c];
-      const double d = dist[r * n + c];
-      const double p =
-          table != nullptr
-              ? table[cell_of[bu] * k_cells + cell_of[bv]].proximity
-              : SpatialProximity(d, runaway_m_,
-                                 config_.proximity.clamp_epsilon);
-      if (IsAlibi(d, runaway_m_)) ++stats->alibi_pairs;
-      const double idf =
-          config_.use_idf ? std::min(idf_e[bu], idf_i[bv]) : 1.0;
-      return p * idf / norm;
+    auto matrix_contribution = [&](size_t r, size_t c) {
+      return contribution(bins_e[ub + r], bins_i[vb + c], dist[r * n + c]);
     };
 
     if (config_.pairing == PairingKind::kAllPairs) {
       for (size_t r = 0; r < m; ++r) {
-        for (size_t c = 0; c < n; ++c) score += contribution(r, c);
+        for (size_t c = 0; c < n; ++c) score += matrix_contribution(r, c);
       }
     } else {
       MutualNearestAndFurthestPairs({dist, m * n}, m, n, config_.use_mfn,
@@ -274,13 +384,13 @@ double SimilarityEngine::ScoreIndexed(EntityIdx u, EntityIdx v,
       s.in_mnn.assign(m * n, 0);
       for (const auto& [r, c] : s.pairing.nearest) {
         s.in_mnn[r * n + c] = 1;
-        score += contribution(r, c);
+        score += matrix_contribution(r, c);
       }
       // Alg. 1: add mutually-furthest pairs only when they are alibis
       // (negative delta) and not already counted by N.
       for (const auto& [r, c] : s.pairing.furthest) {
         if (s.in_mnn[r * n + c]) continue;
-        const double delta = contribution(r, c);
+        const double delta = matrix_contribution(r, c);
         if (delta < 0.0) score += delta;
       }
     }

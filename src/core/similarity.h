@@ -7,8 +7,36 @@
 // contributions (alibis) the nearest pairing missed. The engine runs on the
 // dense interned representation (core/linkage_context.h): per-entity CSR
 // bin spans, flat IDF arrays indexed by BinId, and precomputed length
-// normalisations. Cell distances come from one of two places, chosen by
-// the engine from the vocabulary's distinct-cell count K:
+// normalisations.
+//
+// Every pair first passes the 512-bit window-fingerprint gate (disjoint
+// fingerprints prove an empty intersection). Its shared windows then come
+// from one of two intersections, chosen per pair from the two entities'
+// shapes:
+//
+//   bitmap — both entities have at least kBitmapMinWindows windows and are
+//            dense: an entity is dense when its windows span at most as
+//            many globally aligned 64-window words (word w >> 6, bit
+//            w & 63; floor division, so pre-epoch windows work) as it has
+//            windows. The engine keeps one occupancy word per spanned
+//            word for each dense entity, plus the count of its windows in
+//            earlier words (at most 12 B per window). The pair intersects
+//            by an AND over the words both span; a set bit's position in
+//            each window list is that count plus the popcount of the word
+//            below the bit. Dense GPS-like histories (commute) take it.
+//   merge  — every other pair: the sorted-list merge of
+//            core/score_kernel.h. Sparse check-in histories take it; one
+//            far timestamp stretches its own entity's word span and moves
+//            only that entity here.
+//
+// Both emit the shared windows' positions in the same ascending order, so
+// the path never changes a score. A shared window with one bin on either
+// side takes the first nearest and the first furthest bin directly
+// (SingleRowExtremes, the rule of MutualNearestAndFurthestPairs' fast path;
+// core/pairing.h) without a distance matrix or a pairing call.
+//
+// Cell distances come from one of two places, chosen by the engine from
+// the vocabulary's distinct-cell count K:
 //
 //   table — K <= kCellDistanceTableMaxCells and K(K+1)/2 <= the
 //           vocabulary's bin count: the engine interns the cells once (a
@@ -83,10 +111,10 @@ struct SimilarityStats {
   /// 0 by construction). On the table path the engine counts every table
   /// read as a hit and makes no MinDistanceMeters call, so misses stay 0.
   /// On the memo path the scoring loop adds its CellDistanceCache's
-  /// hits/misses; there the split depends on how entities shard over
-  /// worker threads (each shard warms its own cache), so unlike every other
-  /// counter it is NOT invariant across thread counts — only hits + misses
-  /// is.
+  /// hits/misses; there the split depends on which worker thread scored
+  /// which entities (each worker warms its own cache), so unlike every
+  /// other counter it is NOT invariant across thread counts or runs — only
+  /// hits + misses is.
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
 
@@ -118,6 +146,11 @@ struct ScoreScratch {
 /// also requires K(K+1)/2 to be at most the vocabulary's bin count.
 inline constexpr size_t kCellDistanceTableMaxCells = 1024;
 
+/// Fewest windows an entity needs for the bitmap intersection (see the file
+/// comment). The pair test reads both window counts, which the merge loads
+/// anyway, before it touches a bitmap, so sparse pairs never pay for one.
+inline constexpr size_t kBitmapMinWindows = 64;
+
 /// Scores pairs of entities across the two stores of a LinkageContext
 /// (dataset E on the left, dataset I on the right). Thread-safe: scoring is
 /// const and all mutable state lives in the caller-provided
@@ -131,6 +164,14 @@ class SimilarityEngine {
                    const SimilarityConfig& config);
 
   const SimilarityConfig& config() const { return config_; }
+
+  /// Whether entity `idx` of `side` is dense and keeps a window bitmap, so
+  /// its pairs with other such entities take the bitmap intersection.
+  bool HasWindowBitmap(LinkageSide side, EntityIdx idx) const {
+    const WindowBitmaps& maps = side == LinkageSide::kE ? bitmaps_e_
+                                                        : bitmaps_i_;
+    return maps.spans[idx].words != 0;
+  }
 
   /// S(u, v) per Eq. 2 over dense indices (u into store_e, v into store_i).
   /// `cache` memoises cell distances across calls on the memo path (pass
@@ -169,6 +210,25 @@ class SimilarityEngine {
   std::vector<uint16_t> cell_index_;
   std::vector<CellPairEntry> cell_table_;
   size_t num_cells_ = 0;
+  // The bitmap path: one store's dense entities as occupancy words over
+  // [first_word, first_word + words), with `rank` holding the entity's
+  // windows in earlier words. words == 0 marks an entity without one.
+  struct WindowBitmaps {
+    struct Span {
+      int64_t first_word = 0;
+      uint32_t offset = 0;  // into bits / rank
+      uint32_t words = 0;
+    };
+    std::vector<Span> spans;  // per entity
+    std::vector<uint64_t> bits;
+    std::vector<uint32_t> rank;
+  };
+  static WindowBitmaps BuildWindowBitmaps(const HistoryStore& store);
+  static size_t IntersectWindowBitmaps(const WindowBitmaps& a, EntityIdx u,
+                                       const WindowBitmaps& b, EntityIdx v,
+                                       uint32_t* out_a, uint32_t* out_b);
+  WindowBitmaps bitmaps_e_;
+  WindowBitmaps bitmaps_i_;
 };
 
 }  // namespace slim

@@ -1,6 +1,7 @@
 #include "core/slim.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <limits>
@@ -38,37 +39,57 @@ bool KeepsGraph(const SlimConfig& config) {
   return config.keep_graph || config.matcher == MatcherKind::kHungarian;
 }
 
+// Left entities per scoring block are cut into this many contiguous
+// chunks, which the workers claim on demand: a worker that drew cheap
+// entities takes more chunks instead of idling behind the slowest one.
+constexpr size_t kScoreChunks = 64;
+
 // The scoring loop: left entities [left_begin, left_end) against their
-// candidates on `threads` contiguous worker shards. Returns each worker's
-// positive-score edges and adds its stats to *stats, both in worker order,
-// so the outputs are identical at every thread count.
+// candidates. `threads` workers claim the chunks from a shared counter, and
+// each chunk's positive-score edges land in that chunk's own vector, so the
+// edges come out in left-entity order whichever worker scored which chunk.
+// Each worker adds its stats (integer sums) and its cell-distance cache's
+// counters to *stats.
 std::vector<std::vector<WeightedEdge>> ScoreBlock(
     const LinkageContext& ctx, const SimilarityEngine& engine,
     const CandidateGenerator& generator, EntityIdx left_begin,
     EntityIdx left_end, int threads, SimilarityStats* stats) {
-  std::vector<std::vector<WeightedEdge>> edges(static_cast<size_t>(threads));
-  std::vector<SimilarityStats> shard_stats(static_cast<size_t>(threads));
+  const size_t n = static_cast<size_t>(left_end - left_begin);
+  const size_t chunks = std::min(n, kScoreChunks);
+  std::vector<std::vector<WeightedEdge>> edges(chunks);
+  std::vector<SimilarityStats> worker_stats(static_cast<size_t>(threads));
+  std::atomic<size_t> next_chunk{0};
+  // One ParallelFor shard per worker: the pool may be larger than
+  // `threads`, and more shards would run more workers at once.
   ParallelFor(
-      static_cast<size_t>(left_end - left_begin),
-      [&](size_t begin, size_t end, int shard) {
-        auto& out = edges[static_cast<size_t>(shard)];
-        auto& st = shard_stats[static_cast<size_t>(shard)];
-        CellDistanceCache cache;
-        ScoreScratch scratch;
-        for (size_t k = begin; k < end; ++k) {
-          const EntityIdx u_idx = left_begin + static_cast<EntityIdx>(k);
-          const EntityId u = ctx.store_e.entity_id(u_idx);
-          for (const EntityIdx v_idx : generator.CandidatesFor(u_idx)) {
-            const double s =
-                engine.ScoreIndexed(u_idx, v_idx, &st, &cache, &scratch);
-            if (s > 0.0) out.push_back({u, ctx.store_i.entity_id(v_idx), s});
+      worker_stats.size(),
+      [&](size_t worker_begin, size_t worker_end, int) {
+        for (size_t worker = worker_begin; worker < worker_end; ++worker) {
+          SimilarityStats& st = worker_stats[worker];
+          CellDistanceCache cache;
+          ScoreScratch scratch;
+          for (size_t chunk = next_chunk.fetch_add(1); chunk < chunks;
+               chunk = next_chunk.fetch_add(1)) {
+            std::vector<WeightedEdge>& out = edges[chunk];
+            for (size_t k = n * chunk / chunks; k < n * (chunk + 1) / chunks;
+                 ++k) {
+              const EntityIdx u_idx = left_begin + static_cast<EntityIdx>(k);
+              const EntityId u = ctx.store_e.entity_id(u_idx);
+              for (const EntityIdx v_idx : generator.CandidatesFor(u_idx)) {
+                const double s =
+                    engine.ScoreIndexed(u_idx, v_idx, &st, &cache, &scratch);
+                if (s > 0.0) {
+                  out.push_back({u, ctx.store_i.entity_id(v_idx), s});
+                }
+              }
+            }
           }
+          st.cache_hits += cache.hits();
+          st.cache_misses += cache.misses();
         }
-        st.cache_hits += cache.hits();
-        st.cache_misses += cache.misses();
       },
       threads);
-  for (const SimilarityStats& st : shard_stats) *stats += st;
+  for (const SimilarityStats& st : worker_stats) *stats += st;
   return edges;
 }
 

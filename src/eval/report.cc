@@ -51,7 +51,9 @@ std::string RenderLinkageReport(const LinkageResult& result,
   const uint64_t cache_lookups =
       result.stats.cache_hits + result.stats.cache_misses;
   md += StrFormat(
-      "- **distance cache:** %s hits / %s misses (%.1f%% hit rate)\n\n",
+      "- **distance cache:** %s hits / %s misses (%.1f%% hit rate; each "
+      "scoring worker keeps its own cache, so the split can vary from run "
+      "to run, while hits + misses does not)\n\n",
       FormatWithCommas(static_cast<int64_t>(result.stats.cache_hits)).c_str(),
       FormatWithCommas(static_cast<int64_t>(result.stats.cache_misses))
           .c_str(),

@@ -94,8 +94,10 @@ ServeReply LinkageService::Execute(std::string_view line) {
           linker_.TopK(cmd.entity, cmd.k);
       reply.line = "OK matches=" + std::to_string(top.size());
       for (const LinkedEntityPair& match : top) {
-        reply.line += " " + std::to_string(match.v) + ":" +
-                      FormatServeScore(match.score);
+        reply.line += ' ';
+        reply.line += std::to_string(match.v);
+        reply.line += ':';
+        reply.line += FormatServeScore(match.score);
       }
       return reply;
     }

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <fstream>
 #include <iterator>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -108,8 +109,8 @@ void ExpectIdenticalResults(const LinkageResult& a, const LinkageResult& b,
   EXPECT_EQ(a.stats.alibi_pairs, b.stats.alibi_pairs);
   EXPECT_EQ(a.stats.entity_pairs, b.stats.entity_pairs);
   // NOTE: stats.cache_hits / cache_misses are deliberately NOT compared —
-  // the hit/miss split depends on how entities shard over threads (each
-  // shard warms its own CellDistanceCache). Their sum is sharding-invariant
+  // the hit/miss split depends on which worker scored which entities (each
+  // worker warms its own CellDistanceCache). Their sum is invariant
   // whenever every comparison goes through the cache.
   EXPECT_EQ(a.stats.cache_hits + a.stats.cache_misses,
             b.stats.cache_hits + b.stats.cache_misses)
@@ -148,6 +149,51 @@ INSTANTIATE_TEST_SUITE_P(AllGenerators, GeneratorDeterminism,
                          [](const auto& pinfo) {
                            return std::string(CandidateKindName(pinfo.param));
                          });
+
+// The scoring loop cuts each left block into a fixed number of chunks
+// that the workers claim on demand. Its edge cases — fewer left entities
+// than chunks, one-entity left blocks, more threads than left entities,
+// and an empty left side — must all give the one-thread result.
+TEST(Determinism, ScoringChunksMatchOneThreadAtTheEdges) {
+  std::vector<Record> few;
+  for (const EntityId id : std::span(Sample().a.entity_ids()).first(7)) {
+    for (const Record& r : Sample().a.RecordsOf(id)) few.push_back(r);
+  }
+  const LocationDataset left = LocationDataset::FromRecords("few", few);
+  LocationDataset empty("empty");
+  empty.Finalize();
+  for (const CandidateKind kind :
+       {CandidateKind::kLsh, CandidateKind::kBruteForce}) {
+    for (const int left_shards : {1, 7}) {
+      SCOPED_TRACE(std::string(CandidateKindName(kind)) + " left_shards " +
+                   std::to_string(left_shards));
+      SlimConfig config;
+      config.candidates = kind;
+      config.left_shards = left_shards;
+      config.threads = 1;
+      auto reference = SlimLinker(config).Link(left, Sample().b);
+      ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+      ASSERT_GT(reference->matching.pairs.size(), 0u);
+      EXPECT_EQ(reference->left_shards_used, left_shards);
+      for (const int threads : {3, 16}) {
+        config.threads = threads;
+        auto result = SlimLinker(config).Link(left, Sample().b);
+        ASSERT_TRUE(result.ok()) << result.status().ToString();
+        ExpectIdenticalResults(*reference, *result, threads);
+      }
+    }
+    SlimConfig config;
+    config.candidates = kind;
+    config.threads = 1;
+    auto reference = SlimLinker(config).Link(empty, Sample().b);
+    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+    EXPECT_TRUE(reference->links.empty());
+    config.threads = 8;
+    auto result = SlimLinker(config).Link(empty, Sample().b);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ExpectIdenticalResults(*reference, *result, 8);
+  }
+}
 
 // ---- Golden bit-identity against the committed pre-refactor output. ----
 

@@ -176,10 +176,10 @@ INSTANTIATE_TEST_SUITE_P(
                       IncrementalCase{CandidateKind::kBruteForce, 8, true},
                       IncrementalCase{CandidateKind::kGrid, 1, true},
                       IncrementalCase{CandidateKind::kGrid, 8, true}),
-    [](const ::testing::TestParamInfo<IncrementalCase>& info) {
-      return std::string(CandidateKindName(info.param.candidates)) +
-             "_threads" + std::to_string(info.param.threads) +
-             (info.param.late_data ? "_late_data" : "");
+    [](const ::testing::TestParamInfo<IncrementalCase>& param_info) {
+      const IncrementalCase& c = param_info.param;
+      return std::string(CandidateKindName(c.candidates)) + "_threads" +
+             std::to_string(c.threads) + (c.late_data ? "_late_data" : "");
     });
 
 // One-sided epochs (only A ingested, B empty) must behave like the batch

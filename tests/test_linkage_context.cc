@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -88,6 +89,23 @@ TEST(BinVocabulary, IdsAreDenseAndOrderedByWindowThenCell) {
     EXPECT_EQ(*found, bin);
   }
   EXPECT_FALSE(ctx.vocab.Find(999999, ctx.vocab.cell(0)).has_value());
+  EXPECT_FALSE(
+      ctx.vocab.Find(ctx.vocab.window(0) - 1, ctx.vocab.cell(0)).has_value());
+  // A cell of the vocabulary that the first window's run lacks.
+  std::set<CellId> first_run;
+  for (BinId bin = 0; bin < ctx.vocab.size() &&
+                      ctx.vocab.window(bin) == ctx.vocab.window(0);
+       ++bin) {
+    first_run.insert(ctx.vocab.cell(bin));
+  }
+  size_t absent_cells = 0;
+  for (BinId bin = 0; bin < ctx.vocab.size(); ++bin) {
+    if (first_run.count(ctx.vocab.cell(bin)) != 0) continue;
+    ++absent_cells;
+    EXPECT_FALSE(
+        ctx.vocab.Find(ctx.vocab.window(0), ctx.vocab.cell(bin)).has_value());
+  }
+  EXPECT_GT(absent_cells, 0u);
 }
 
 TEST(BinVocabulary, ParallelBuildEqualsASerialSortAndUnique) {

@@ -1,7 +1,10 @@
 #include "core/pairing.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -193,6 +196,78 @@ TEST(MutualNearestAndFurthestPairs, MatchesTheReferencesUpToTheTieRule) {
   }
   // The tie rule is observable, not a formality.
   EXPECT_GT(tied_differences, 0u);
+}
+
+// Windows with at least two bins a side order their entries by ascending
+// distance, ties broken on the row-major index: a strict total order, so
+// `order` is exactly std::sort's permutation under it. Pinned on matrices
+// drawn from four values, so ties are dense.
+TEST(MutualNearestAndFurthestPairs, OrderIsAscendingDistanceThenIndex) {
+  Rng rng(1626);
+  MutualPairing fused;
+  for (size_t m = 2; m <= 10; ++m) {
+    for (size_t n = 2; m * n <= 20; ++n) {
+      for (int trial = 0; trial < 200; ++trial) {
+        std::vector<double> d(m * n);
+        for (auto& x : d) x = static_cast<double>(rng.NextUint64(4));
+        std::vector<uint32_t> order(m * n);
+        for (uint32_t k = 0; k < order.size(); ++k) order[k] = k;
+        std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+          if (d[a] != d[b]) return d[a] < d[b];
+          return a < b;
+        });
+        MutualNearestAndFurthestPairs(d, m, n, true, &fused);
+        ASSERT_EQ(fused.order, order) << m << "x" << n << " trial " << trial;
+        ASSERT_EQ(fused.nearest, MutuallyNearestPairs(d, m, n));
+        ASSERT_EQ(fused.furthest, FurthestLargerIndexFirst(d, m, n));
+      }
+    }
+  }
+}
+
+// Wide windows pair like the references, and a small window after a wide
+// one starts from clear row and column flags in the reused scratch.
+TEST(MutualNearestAndFurthestPairs, WideWindowsMatchTheReferences) {
+  Rng rng(6464);
+  MutualPairing fused;
+  for (const auto& [m, n] : std::vector<std::pair<size_t, size_t>>{
+           {70, 2}, {3, 65}, {64, 64}, {64, 65}, {65, 64}, {66, 70}}) {
+    std::vector<double> d(m * n);
+    for (auto& x : d) x = static_cast<double>(rng.NextUint64(6));
+    MutualNearestAndFurthestPairs(d, m, n, true, &fused);
+    EXPECT_EQ(fused.nearest, MutuallyNearestPairs(d, m, n)) << m << "x" << n;
+    EXPECT_EQ(fused.furthest, FurthestLargerIndexFirst(d, m, n))
+        << m << "x" << n;
+    const std::vector<double> small = {5.0, 5.0, 5.0, 1.0};
+    MutualNearestAndFurthestPairs(small, 2, 2, true, &fused);
+    EXPECT_EQ(fused.nearest, (std::vector<BinPair>{{1, 1}, {0, 0}}));
+    EXPECT_EQ(fused.furthest, (std::vector<BinPair>{{1, 0}, {0, 1}}));
+  }
+}
+
+// One row or one column: nearest is the first minimum and furthest the
+// first maximum in row-major order, also on tied rows (SingleRowExtremes,
+// which the scoring engine also runs on such windows).
+TEST(MutualNearestAndFurthestPairs, SingleRowTakesFirstMinimumAndMaximum) {
+  const std::vector<double> d = {3.0, 1.0, 4.0, 1.0, 5.0, 5.0, 2.0};
+  SingleRowExtremes extremes;
+  for (const double x : d) extremes.Add(x);
+  EXPECT_EQ(extremes.arg_min(), 1u);
+  EXPECT_EQ(extremes.min_distance(), 1.0);
+  EXPECT_EQ(extremes.arg_max(), 4u);
+  EXPECT_EQ(extremes.max_distance(), 5.0);
+  MutualPairing fused;
+  MutualNearestAndFurthestPairs(d, 1, d.size(), true, &fused);
+  EXPECT_EQ(fused.nearest, (std::vector<BinPair>{{0, 1}}));
+  EXPECT_EQ(fused.furthest, (std::vector<BinPair>{{0, 4}}));
+  MutualNearestAndFurthestPairs(d, d.size(), 1, true, &fused);
+  EXPECT_EQ(fused.nearest, (std::vector<BinPair>{{1, 0}}));
+  EXPECT_EQ(fused.furthest, (std::vector<BinPair>{{4, 0}}));
+  // All tied: both are the first entry.
+  const std::vector<double> flat(5, 2.0);
+  MutualNearestAndFurthestPairs(flat, 1, flat.size(), true, &fused);
+  EXPECT_EQ(fused.nearest, (std::vector<BinPair>{{0, 0}}));
+  EXPECT_EQ(fused.furthest, (std::vector<BinPair>{{0, 0}}));
 }
 
 TEST(Pairing, DiesOnShapeMismatch) {

@@ -487,6 +487,62 @@ LinkageContext CommuteContext() {
                                /*threads=*/1);
 }
 
+// One history shape per entity, on both sides, for the two window
+// intersections: bitmap entities (at least kBitmapMinWindows windows, word
+// span at most the window count) and merge entities, with pre-epoch windows
+// across the word boundaries at -65/-64, -1/0 and 63/64.
+std::vector<std::vector<int64_t>> MixedDensityWindows() {
+  auto range = [](int64_t begin, int64_t end, int64_t step) {
+    std::vector<int64_t> w;
+    for (int64_t x = begin; x < end; x += step) w.push_back(x);
+    return w;
+  };
+  std::vector<std::vector<int64_t>> shapes;
+  shapes.push_back(range(0, 200, 1));     // dense, 4 words
+  shapes.push_back(range(-130, 131, 1));  // dense, pre-epoch, 6 words
+  shapes.push_back(range(-200, 201, 2));  // dense, every other window
+  std::vector<int64_t> boundary = {-65, -64, -1, 0, 63, 64};
+  for (int64_t w = 100; w < 170; ++w) boundary.push_back(w);
+  shapes.push_back(boundary);  // dense, 76 windows over 5 words
+  std::vector<int64_t> far = range(0, 150, 1);
+  far.push_back(10'000'000);   // a dense history plus one far window
+  shapes.push_back(far);
+  shapes.push_back(range(0, 80 * 97, 97));  // sparse: 80 windows, 120 words
+  shapes.push_back(range(-40, -10, 1));     // dense span, under 64 windows
+  return shapes;
+}
+
+// Every shape on each side, one to five records per window drawn from ten
+// spots — eight within a few kilometres, so distances tie often, and two
+// about 100 km off, so alibis occur. The windows' bin counts then cover
+// 1x1, 1xN, Mx1, and M x N windows from 2x2 up to 5x5.
+LinkageContext MixedDensityContext() {
+  const std::vector<std::vector<int64_t>> shapes = MixedDensityWindows();
+  std::vector<LatLng> spots;
+  for (int k = 0; k < 8; ++k) {
+    spots.push_back({40.70 + 0.012 * (k % 4), -74.00 + 0.015 * (k / 4)});
+  }
+  spots.push_back({41.60, -74.00});
+  spots.push_back({40.70, -72.80});
+  Rng rng(2606);
+  LocationDataset e("E"), i("I");
+  const HistoryConfig config;
+  for (LocationDataset* side : {&e, &i}) {
+    for (size_t k = 0; k < shapes.size(); ++k) {
+      for (const int64_t w : shapes[k]) {
+        const int64_t records = 1 + static_cast<int64_t>(rng.NextUint64(5));
+        for (int64_t j = 0; j < records; ++j) {
+          side->Add(static_cast<EntityId>(k),
+                    spots[static_cast<size_t>(rng.NextUint64(spots.size()))],
+                    w * config.window_seconds + 30 + 60 * j);
+        }
+      }
+    }
+    side->Finalize();
+  }
+  return LinkageContext::Build(e, i, config, /*threads=*/1);
+}
+
 size_t DistinctCells(const BinVocabulary& vocab) {
   std::set<uint64_t> cells;
   for (BinId b = 0; b < vocab.size(); ++b) cells.insert(vocab.cell(b).raw());
@@ -561,6 +617,51 @@ TEST(ScoreKernelEngine, MemoPathMatchesTheReference) {
   ASSERT_LE(cells, kCellDistanceTableMaxCells);
   ASSERT_GT(cells * (cells + 1) / 2, small.vocab.size());
   EXPECT_GT(ExpectMatchesReference(small), 0u);
+}
+
+// Bitmap and merge intersections against the reference, on every pairing
+// of dense, sparse, under-64-window and far-window histories.
+TEST(ScoreKernelEngine, BitmapAndMergePathsMatchTheReference) {
+  const LinkageContext ctx = MixedDensityContext();
+  const std::vector<std::vector<int64_t>> shapes = MixedDensityWindows();
+  const SimilarityEngine engine(ctx, SimilarityConfig{});
+  // The density rule, restated: at least kBitmapMinWindows windows, and no
+  // more 64-window words spanned than windows held.
+  auto dense = [&](const HistoryStore& store, EntityIdx u) {
+    const auto w = store.windows(u);
+    return w.size() >= kBitmapMinWindows &&
+           (w.back() >> 6) - (w.front() >> 6) + 1 <=
+               static_cast<int64_t>(w.size());
+  };
+  ASSERT_EQ(ctx.store_e.size(), shapes.size());
+  for (EntityIdx u = 0; u < shapes.size(); ++u) {
+    ASSERT_EQ(std::vector<int64_t>(ctx.store_e.windows(u).begin(),
+                                   ctx.store_e.windows(u).end()),
+              shapes[u]);
+    EXPECT_EQ(engine.HasWindowBitmap(LinkageSide::kE, u),
+              dense(ctx.store_e, u))
+        << "entity " << u;
+    EXPECT_EQ(engine.HasWindowBitmap(LinkageSide::kI, u),
+              dense(ctx.store_i, u))
+        << "entity " << u;
+  }
+  // The far window moves only its own entity off the bitmap path.
+  EXPECT_TRUE(engine.HasWindowBitmap(LinkageSide::kE, 0));
+  EXPECT_FALSE(engine.HasWindowBitmap(LinkageSide::kE, 4));
+  EXPECT_FALSE(engine.HasWindowBitmap(LinkageSide::kE, 6));
+  size_t by_kind[3] = {0, 0, 0};  // sparse x sparse, mixed, dense x dense
+  for (EntityIdx u = 0; u < ctx.store_e.size(); ++u) {
+    for (EntityIdx v = 0; v < ctx.store_i.size(); ++v) {
+      SimilarityStats stats;
+      if (engine.ScoreIndexed(u, v, &stats) == 0.0) continue;
+      ++by_kind[(engine.HasWindowBitmap(LinkageSide::kE, u) ? 1 : 0) +
+                (engine.HasWindowBitmap(LinkageSide::kI, v) ? 1 : 0)];
+    }
+  }
+  EXPECT_GT(by_kind[0], 0u);
+  EXPECT_GT(by_kind[1], 0u);
+  EXPECT_GT(by_kind[2], 0u);
+  ExpectMatchesReference(ctx);
 }
 
 // ---------------------------------------------------------------------------

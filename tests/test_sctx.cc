@@ -21,6 +21,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -128,6 +129,9 @@ TEST_F(SctxTest, RoundTripReproducesEveryStructureExactly) {
   for (BinId b = 0; b < built.vocab.size(); ++b) {
     EXPECT_EQ(mapped.vocab.window(b), built.vocab.window(b));
     EXPECT_EQ(mapped.vocab.cell(b), built.vocab.cell(b));
+    // The mapped vocabulary indexes its window runs for Find() too.
+    EXPECT_EQ(mapped.vocab.Find(built.vocab.window(b), built.vocab.cell(b)),
+              std::optional<BinId>(b));
   }
 
   ExpectStoresEqual(built.store_e, mapped.store_e, /*expect_trees=*/true);
