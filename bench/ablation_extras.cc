@@ -1,5 +1,5 @@
-// Extra ablations beyond the paper's Fig. 10, covering the remaining design
-// choices called out in DESIGN.md §4:
+// Extra ablations beyond the paper's Fig. 10, covering three more design
+// choices:
 //   (a) the BM25-style length-normalisation parameter b of Eq. 2,
 //   (b) the stop-threshold detector backend (GMM-expected-F1 vs Otsu vs
 //       2-means — the paper reports "similar results", Sec. 5.2.1),

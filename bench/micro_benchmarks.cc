@@ -1,6 +1,7 @@
 // google-benchmark micro suites for the performance-critical primitives:
 // spatial cells, window-tree queries, bin pairing, the span intersections,
-// similarity scoring, LSH candidate construction, matching, and the GMM fit.
+// similarity scoring, LSH and grid candidate construction, matching, and the
+// GMM fit.
 #include <benchmark/benchmark.h>
 
 #include <random>
@@ -246,6 +247,21 @@ void BM_LshCandidatesBuild(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LshCandidatesBuild)->Arg(16)->Arg(64);
+
+// Grid blocking on a dense commute-shaped pair: every commuter holds
+// hundreds of bins, many of them shared at the employment centres, so the
+// right side's key index and each left entity's union carry the cost.
+void BM_GridCandidatesBuild(benchmark::State& state) {
+  CommuteGeneratorOptions opt;
+  opt.num_commuters = static_cast<int>(state.range(0));
+  const LocationDataset ds = GenerateCommuteDataset(opt);
+  const LinkageContext ctx = LinkageContext::Build(ds, ds, HistoryConfig{});
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(MakeCandidateGenerator(
+        CandidateKind::kGrid, ctx, LshConfig{}, GridBlockingConfig{}));
+  }
+}
+BENCHMARK(BM_GridCandidatesBuild)->Arg(16)->Arg(64);
 
 void BM_SignatureBuild(benchmark::State& state) {
   const WindowSegmentTree tree = MakeTree(2048, 3, 7);

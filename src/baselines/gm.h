@@ -1,6 +1,7 @@
 // GM baseline (Wang et al., "De-anonymization of Mobility Trajectories:
 // Dissecting the Gaps between Theory and Practice", NDSS 2018) —
-// reimplemented from its description (see DESIGN.md §1).
+// reimplemented from that paper's description; the authors' code is not
+// part of this repository.
 //
 // GM learns a per-entity mobility model: a Gaussian-mixture over the
 // entity's record locations (capturing where it spends time) plus a

@@ -1,9 +1,9 @@
 #include "core/candidates.h"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <numeric>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -39,6 +39,15 @@ struct CandidateCsr {
   }
 };
 
+// One L×K block: left entities [left_begin, left_end) against right
+// entities [right_begin, right_end).
+struct Block {
+  EntityIdx left_begin;
+  EntityIdx left_end;
+  EntityIdx right_begin;
+  EntityIdx right_end;
+};
+
 // Every cross pair of the block: [left_begin, left_end) x [begin, end).
 class BruteForceCandidates final : public CandidateGenerator {
  public:
@@ -61,11 +70,144 @@ class BruteForceCandidates final : public CandidateGenerator {
   std::vector<EntityIdx> shard_right_;
 };
 
-// 64-bit mix for band hashing (SplitMix64 finaliser).
+// The block's candidate lists, whichever key function joined them.
+class CsrCandidates final : public CandidateGenerator {
+ public:
+  CsrCandidates(CandidateKind kind, EntityIdx left_begin,
+                std::vector<std::vector<EntityIdx>> lists)
+      : name_(CandidateKindName(kind)),
+        left_begin_(left_begin),
+        csr_(CandidateCsr::FromLists(std::move(lists))) {}
+
+  std::string_view name() const override { return name_; }
+  std::span<const EntityIdx> CandidatesFor(EntityIdx u) const override {
+    return csr_.SpanOf(u - left_begin_);
+  }
+  uint64_t total_candidate_pairs() const override { return csr_.flat.size(); }
+
+ private:
+  std::string_view name_;
+  EntityIdx left_begin_;
+  CandidateCsr csr_;
+};
+
+// 64-bit mix for band hashes and key slots (SplitMix64 finaliser).
 uint64_t Mix(uint64_t z) {
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
   return z ^ (z >> 31);
+}
+
+// A blocking key (group, value). Two entities join when they yield one key:
+// an LSH key is (band, band hash mod num_buckets), a grid key is (0, BinId).
+using BlockKey = std::pair<uint32_t, uint64_t>;
+
+// The one blocking join: (u, v) is a candidate when left entity u and right
+// entity v yield one key. `keys_of(store, entity, emit)` calls emit(key)
+// once per key of the entity; it must depend only on that entity and on
+// dataset-level statistics, so that a block's lists are exactly the full
+// build's restricted to the block.
+template <typename KeysOf>
+std::vector<std::vector<EntityIdx>> JoinOnKeys(const LinkageContext& ctx,
+                                               const Block& block,
+                                               const KeysOf& keys_of,
+                                               int threads) {
+  std::vector<std::vector<EntityIdx>> lists(block.left_end -
+                                            block.left_begin);
+  if (lists.empty()) return lists;
+
+  // The right (key, entity) pairs, gathered per shard in entity order.
+  using KeyedRight = std::pair<BlockKey, EntityIdx>;
+  std::vector<std::vector<KeyedRight>> runs(
+      static_cast<size_t>(threads > 0 ? threads : DefaultThreadCount()));
+  ParallelFor(
+      block.right_end - block.right_begin,
+      [&](size_t begin, size_t end, int shard) {
+        for (size_t k = begin; k < end; ++k) {
+          const EntityIdx v = block.right_begin + static_cast<EntityIdx>(k);
+          keys_of(ctx.store_i, v, [&](const BlockKey& key) {
+            runs[static_cast<size_t>(shard)].emplace_back(key, v);
+          });
+        }
+      },
+      static_cast<int>(runs.size()));
+  size_t pairs = 0;
+  for (const auto& run : runs) pairs += run.size();
+  SLIM_CHECK_MSG(pairs <= std::numeric_limits<uint32_t>::max(),
+                 "blocking keys of one block exceed the uint32_t offsets");
+  if (pairs == 0) return lists;
+
+  // The index, in the CSR shape of an inverted bin index addressed by a
+  // hash of the key: slot s lists the distinct keys [slot_keys[s],
+  // slot_keys[s + 1]), and key k's rights are rights[key_rights[k],
+  // key_rights[k + 1]), ascending. About two pairs share a slot.
+  const uint64_t mask = std::bit_ceil(std::max<size_t>(pairs / 2, 1)) - 1;
+  const auto slot = [mask](const BlockKey& key) {
+    return Mix(key.second ^ (uint64_t{key.first} * 0x9e3779b97f4a7c15ULL)) &
+           mask;
+  };
+  std::vector<uint32_t> slot_keys, key_rights;
+  std::vector<BlockKey> keys;
+  std::vector<EntityIdx> rights;
+  {
+    // One counting sort groups the pairs by slot; each slot is then sorted
+    // by (key, entity).
+    std::vector<uint32_t> slot_begin(mask + 2, 0);
+    for (const auto& run : runs) {
+      for (const KeyedRight& e : run) ++slot_begin[slot(e.first) + 1];
+    }
+    std::partial_sum(slot_begin.begin(), slot_begin.end(), slot_begin.begin());
+    std::vector<KeyedRight> table(pairs);
+    std::vector<uint32_t> cursor(slot_begin.begin(), slot_begin.end() - 1);
+    for (auto& run : runs) {
+      for (const KeyedRight& e : run) table[cursor[slot(e.first)]++] = e;
+      std::vector<KeyedRight>().swap(run);
+    }
+    slot_keys.reserve(mask + 2);
+    rights.reserve(pairs);
+    for (size_t s = 0; s <= mask; ++s) {
+      std::sort(table.begin() + slot_begin[s],
+                table.begin() + slot_begin[s + 1]);
+      slot_keys.push_back(static_cast<uint32_t>(keys.size()));
+      for (uint32_t p = slot_begin[s]; p < slot_begin[s + 1]; ++p) {
+        // Equal keys share a slot, so a key differing from the last one
+        // indexed is new.
+        if (keys.empty() || table[p].first != keys.back()) {
+          keys.push_back(table[p].first);
+          key_rights.push_back(static_cast<uint32_t>(rights.size()));
+        }
+        rights.push_back(table[p].second);
+      }
+    }
+    slot_keys.push_back(static_cast<uint32_t>(keys.size()));
+    key_rights.push_back(static_cast<uint32_t>(rights.size()));
+  }
+
+  // Each left entity unions the rights of its keys in per-worker scratch,
+  // so its own list is allocated once, at its final size.
+  ParallelFor(
+      lists.size(),
+      [&](size_t begin, size_t end, int) {
+        std::vector<EntityIdx> gathered;
+        for (size_t k = begin; k < end; ++k) {
+          gathered.clear();
+          const EntityIdx u = block.left_begin + static_cast<EntityIdx>(k);
+          keys_of(ctx.store_e, u, [&](const BlockKey& key) {
+            const uint64_t s = slot(key);
+            for (uint32_t q = slot_keys[s]; q < slot_keys[s + 1]; ++q) {
+              if (keys[q] != key) continue;
+              gathered.insert(gathered.end(), rights.begin() + key_rights[q],
+                              rights.begin() + key_rights[q + 1]);
+              break;
+            }
+          });
+          std::sort(gathered.begin(), gathered.end());
+          lists[k].assign(gathered.begin(),
+                          std::unique(gathered.begin(), gathered.end()));
+        }
+      },
+      threads);
+  return lists;
 }
 
 // Hashes one band of a signature; returns false when every row is a
@@ -85,223 +227,92 @@ bool HashBand(const LshSignature& sig, size_t row_begin, size_t row_end,
   return any;
 }
 
-// Marks "this entity's band was all placeholders; it lands in no bucket".
-constexpr uint64_t kNoBucket = std::numeric_limits<uint64_t>::max();
-
-// One band's buckets over a block.
-struct BandTable {
-  // bucket key -> global right EntityIdx values, in index order.
-  std::unordered_map<uint64_t, std::vector<EntityIdx>> right_buckets;
-  // per block-left position: its bucket key, or kNoBucket.
-  std::vector<uint64_t> left_key;
-};
-
-// Signatures of store entities [begin, end) on the query grid `span`,
-// data-parallel over entities into a pre-sized vector.
-std::vector<LshSignature> BlockSignatures(const HistoryStore& store,
-                                          EntityIdx begin, EntityIdx end,
-                                          const LshWindowSpan& span,
-                                          const LshConfig& config,
-                                          int threads) {
-  std::vector<LshSignature> out(end - begin);
-  ParallelFor(
-      out.size(),
-      [&](size_t lo, size_t hi, int) {
-        for (size_t k = lo; k < hi; ++k) {
-          out[k] = BuildSignature(store.tree(begin + static_cast<EntityIdx>(k)),
-                                  span.lo, span.end,
-                                  config.temporal_step_windows,
-                                  config.signature_spatial_level);
-        }
-      },
-      threads);
-  return out;
-}
-
-// The block's band tables (paper Sec. 4): signatures split into b bands
+// Banded LSH (paper Sec. 4): a cross pair is a candidate when any band of
+// the two signatures lands in one bucket. Signatures are split into b bands
 // of r rows, b from the similarity threshold via the Lambert-W sizing
-// (lsh/signature.h). Placeholder rows are omitted from a band's hash; a
-// band that is entirely placeholders is not hashed at all. Sharded over
-// bands: bands are independent, and within a band rights are appended in
-// index order, so the tables never depend on scheduling. The signatures
-// are locals, freed on return; only the tables reach the gather.
-std::vector<BandTable> BuildBandTables(const LinkageContext& ctx,
-                                       const LshConfig& config,
-                                       EntityIdx left_begin,
-                                       EntityIdx left_end,
-                                       EntityIdx right_begin,
-                                       EntityIdx right_end, int threads) {
+// (lsh/signature.h); each band that is not all placeholders yields the key
+// (band, band hash mod num_buckets). A signature lives only while its bands
+// are hashed.
+std::vector<std::vector<EntityIdx>> LshLists(const LinkageContext& ctx,
+                                             const LshConfig& config,
+                                             const Block& block,
+                                             int threads) {
   SLIM_CHECK_MSG(config.num_buckets >= 1, "num_buckets must be >= 1");
-  // The grid is pinned to the full problem's span, so a block build's
-  // band hashes — and therefore its collisions — are exactly the full
-  // build's restricted to the block: a collision is a pairwise predicate
-  // over one left and one right signature, and neither signature depends
-  // on which other entities were banded alongside it.
+  // The grid is pinned to the full problem's span, so a block build's band
+  // keys are exactly the full build's: no signature depends on which other
+  // entities were banded alongside it.
   const LshWindowSpan span = GlobalWindowSpan(ctx);
-  if (span.empty() || left_begin == left_end || right_begin == right_end) {
-    return {};  // nothing occupied, or one side of the block is empty
+  if (span.empty()) {  // nothing occupied
+    return std::vector<std::vector<EntityIdx>>(block.left_end -
+                                               block.left_begin);
   }
-  const std::vector<LshSignature> left = BlockSignatures(
-      ctx.store_e, left_begin, left_end, span, config, threads);
-  const std::vector<LshSignature> right = BlockSignatures(
-      ctx.store_i, right_begin, right_end, span, config, threads);
-
-  // Every signature spans the same grid, so all share one size.
-  const size_t signature_size = left.front().size();
+  const int64_t step = config.temporal_step_windows;
+  SLIM_CHECK_MSG(step > 0, "temporal step must be positive");
+  // Every signature has one row per step of the grid.
+  const size_t signature_size =
+      static_cast<size_t>((span.end - span.lo + step - 1) / step);
   const size_t num_bands = static_cast<size_t>(
       ComputeNumBands(signature_size, config.similarity_threshold));
   const size_t rows_per_band = (signature_size + num_bands - 1) / num_bands;
-  std::vector<BandTable> bands(num_bands);
-  ParallelFor(
-      num_bands,
-      [&](size_t begin, size_t end, int) {
-        for (size_t band = begin; band < end; ++band) {
-          const size_t row_begin = band * rows_per_band;
-          const size_t row_end = row_begin + rows_per_band;
-          BandTable& table = bands[band];
-          table.left_key.assign(left.size(), kNoBucket);
-          uint64_t h;
-          for (size_t k = 0; k < left.size(); ++k) {
-            if (HashBand(left[k], row_begin, row_end, config.hash_seed, &h)) {
-              table.left_key[k] = h % config.num_buckets;
-            }
-          }
-          for (size_t k = 0; k < right.size(); ++k) {
-            if (HashBand(right[k], row_begin, row_end, config.hash_seed, &h)) {
-              table.right_buckets[h % config.num_buckets].push_back(
-                  right_begin + static_cast<EntityIdx>(k));
-            }
-          }
-        }
-      },
-      threads);
-  return bands;
-}
-
-// Banded LSH: a cross pair is a candidate when any band of the two
-// signatures lands in one bucket.
-class LshCandidates final : public CandidateGenerator {
- public:
-  LshCandidates(const LinkageContext& ctx, const LshConfig& config,
-                EntityIdx left_begin, EntityIdx left_end,
-                EntityIdx right_begin, EntityIdx right_end, int threads)
-      : left_begin_(left_begin) {
-    std::vector<std::vector<EntityIdx>> lists(left_end - left_begin);
-    {
-      const std::vector<BandTable> bands =
-          BuildBandTables(ctx, config, left_begin, left_end, right_begin,
-                          right_end, threads);
-      // Gather + de-duplication, sharded over left entities: each left
-      // entity unions its buckets' rights across bands (band order) and
-      // sorts/uniques its own list.
-      ParallelFor(
-          lists.size(),
-          [&](size_t begin, size_t end, int) {
-            for (size_t k = begin; k < end; ++k) {
-              std::vector<EntityIdx>& list = lists[k];
-              for (const BandTable& table : bands) {
-                const uint64_t key = table.left_key[k];
-                if (key == kNoBucket) continue;
-                const auto it = table.right_buckets.find(key);
-                if (it == table.right_buckets.end()) continue;
-                list.insert(list.end(), it->second.begin(), it->second.end());
-              }
-              std::sort(list.begin(), list.end());
-              list.erase(std::unique(list.begin(), list.end()), list.end());
-            }
-          },
-          threads);
-    }  // the band tables go before the CSR is assembled
-    csr_ = CandidateCsr::FromLists(std::move(lists));
-  }
-
-  std::string_view name() const override { return "lsh"; }
-  std::span<const EntityIdx> CandidatesFor(EntityIdx u) const override {
-    return csr_.SpanOf(u - left_begin_);
-  }
-  uint64_t total_candidate_pairs() const override { return csr_.flat.size(); }
-
- private:
-  EntityIdx left_begin_;
-  CandidateCsr csr_;
-};
-
-class GridBlockingCandidates final : public CandidateGenerator {
- public:
-  GridBlockingCandidates(const LinkageContext& ctx,
-                         const GridBlockingConfig& config,
-                         EntityIdx left_begin, EntityIdx left_end,
-                         EntityIdx right_begin, EntityIdx right_end,
-                         int threads)
-      : left_begin_(left_begin) {
-    const HistoryStore& se = ctx.store_e;
-    const HistoryStore& si = ctx.store_i;
-
-    // Inverted index bin -> shard right entities, CSR over the shared
-    // vocabulary. Right entities are visited in index order, so every
-    // posting list is ascending.
-    std::vector<uint64_t> bin_offsets(ctx.vocab.size() + 1, 0);
-    for (EntityIdx v = right_begin; v < right_end; ++v) {
-      for (const BinId b : si.bins(v)) ++bin_offsets[b + 1];
-    }
-    for (size_t b = 1; b < bin_offsets.size(); ++b) {
-      bin_offsets[b] += bin_offsets[b - 1];
-    }
-    std::vector<EntityIdx> postings(bin_offsets.back());
-    {
-      std::vector<uint64_t> cursor = bin_offsets;
-      for (EntityIdx v = right_begin; v < right_end; ++v) {
-        for (const BinId b : si.bins(v)) postings[cursor[b]++] = v;
+  const auto band_keys = [&](const HistoryStore& store, EntityIdx u,
+                             const auto& emit) {
+    const LshSignature sig =
+        BuildSignature(store.tree(u), span.lo, span.end,
+                       config.temporal_step_windows,
+                       config.signature_spatial_level);
+    uint64_t h = 0;
+    for (size_t band = 0; band < num_bands; ++band) {
+      const size_t row_begin = band * rows_per_band;
+      if (HashBand(sig, row_begin, row_begin + rows_per_band,
+                   config.hash_seed, &h)) {
+        emit(BlockKey{static_cast<uint32_t>(band), h % config.num_buckets});
       }
     }
+  };
+  return JoinOnKeys(ctx, block, band_keys, threads);
+}
 
-    const uint32_t cap = config.max_bin_entities;
-    const uint32_t min_overlap = config.min_overlap_records;
-    // Per-left co-visit gathering touches only that left's own bins, so
-    // restricting the loop to the block's left range changes nothing about
-    // the lists it does build.
-    std::vector<std::vector<EntityIdx>> lists(left_end - left_begin);
+// ST-Link-style co-visit blocking: a cross pair is a candidate when the two
+// entities share a (window, leaf cell) bin; each bin is one key.
+std::vector<std::vector<EntityIdx>> GridLists(const LinkageContext& ctx,
+                                              const GridBlockingConfig& config,
+                                              const Block& block,
+                                              int threads) {
+  const HistoryStore& se = ctx.store_e;
+  const HistoryStore& si = ctx.store_i;
+  const uint32_t cap = config.max_bin_entities;
+  const auto bin_keys = [&](const HistoryStore& store, EntityIdx u,
+                            const auto& emit) {
+    for (const BinId b : store.bins(u)) {
+      // The hotspot stop-word counts holders in the FULL right store, so
+      // block builds skip exactly the bins the monolithic build skips. A
+      // capped bin is skipped on both sides; it never joins either way.
+      if (cap > 0 && si.bin_entity_count(b) > cap) continue;
+      emit(BlockKey{0, b});
+    }
+  };
+  std::vector<std::vector<EntityIdx>> lists =
+      JoinOnKeys(ctx, block, bin_keys, threads);
+
+  const uint32_t min_overlap = config.min_overlap_records;
+  if (min_overlap > 1) {
     ParallelFor(
         lists.size(),
         [&](size_t begin, size_t end, int) {
           std::vector<uint32_t> match_a, match_b;  // per-worker scratch
           for (size_t k = begin; k < end; ++k) {
-            const EntityIdx u = left_begin + static_cast<EntityIdx>(k);
-            auto& list = lists[k];
-            for (const BinId b : se.bins(u)) {
-              // The hotspot stop-word counts holders in the FULL right
-              // store, so shard builds skip exactly the bins the
-              // monolithic build skips.
-              if (cap > 0 && si.bin_entity_count(b) > cap) continue;
-              const uint64_t lo = bin_offsets[b], hi = bin_offsets[b + 1];
-              list.insert(list.end(), postings.begin() + lo,
-                          postings.begin() + hi);
-            }
-            std::sort(list.begin(), list.end());
-            list.erase(std::unique(list.begin(), list.end()), list.end());
-            if (min_overlap > 1) {
-              std::erase_if(list, [&](EntityIdx v) {
-                return OverlapMass(se.bins(u), se.counts(u), si.bins(v),
-                                   si.counts(v), &match_a,
-                                   &match_b) < min_overlap;
-              });
-            }
+            const EntityIdx u = block.left_begin + static_cast<EntityIdx>(k);
+            std::erase_if(lists[k], [&](EntityIdx v) {
+              return OverlapMass(se.bins(u), se.counts(u), si.bins(v),
+                                 si.counts(v), &match_a,
+                                 &match_b) < min_overlap;
+            });
           }
         },
         threads);
-    csr_ = CandidateCsr::FromLists(std::move(lists));
   }
-
-  std::string_view name() const override { return "grid"; }
-  std::span<const EntityIdx> CandidatesFor(EntityIdx u) const override {
-    return csr_.SpanOf(u - left_begin_);
-  }
-  uint64_t total_candidate_pairs() const override { return csr_.flat.size(); }
-
- private:
-  EntityIdx left_begin_;
-  CandidateCsr csr_;
-};
+  return lists;
+}
 
 }  // namespace
 
@@ -367,18 +378,17 @@ std::unique_ptr<CandidateGenerator> MakeShardCandidateGenerator(
   SLIM_CHECK_MSG(right_begin <= right_end &&
                      right_end <= context.store_i.size(),
                  "right shard range out of bounds");
+  const Block block{left_begin, left_end, right_begin, right_end};
   switch (kind) {
     case CandidateKind::kLsh:
-      return std::make_unique<LshCandidates>(context, lsh_config, left_begin,
-                                             left_end, right_begin, right_end,
-                                             threads);
+      return std::make_unique<CsrCandidates>(
+          kind, left_begin, LshLists(context, lsh_config, block, threads));
     case CandidateKind::kBruteForce:
       return std::make_unique<BruteForceCandidates>(left_begin, left_end,
                                                     right_begin, right_end);
     case CandidateKind::kGrid:
-      return std::make_unique<GridBlockingCandidates>(
-          context, grid_config, left_begin, left_end, right_begin, right_end,
-          threads);
+      return std::make_unique<CsrCandidates>(
+          kind, left_begin, GridLists(context, grid_config, block, threads));
   }
   SLIM_CHECK_MSG(false, "unreachable candidate kind");
   return nullptr;

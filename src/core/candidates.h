@@ -3,20 +3,23 @@
 // Alg. 1 scores only the pairs a filtering stage proposes. Following the
 // companion ST-Link work, which frames filtering as a replaceable blocking
 // component, candidate generation is a first-class interface with three
-// implementations:
+// kinds:
 //
-//   BruteForceCandidates — every cross-dataset pair (the "no-LSH SLIM"
-//                          reference; exact, quadratic).
-//   LshCandidates        — banded LSH over history signatures (paper
-//                          Sec. 4; the production default). It builds the
-//                          signatures from the context's window trees
-//                          (lsh/signature.h), bands and buckets them
-//                          itself, and gathers straight into its CSR.
-//   GridBlockingCandidates — ST-Link-style co-visit blocking: a pair is a
-//                          candidate iff the two entities share at least
-//                          one (window, leaf cell) time-location bin.
-//                          Exact on pairs with any exact co-visit; prunes
-//                          everything else.
+//   kBruteForce — every cross-dataset pair (the "no-LSH SLIM" reference;
+//                 exact, quadratic).
+//   kLsh        — banded LSH over history signatures (paper Sec. 4; the
+//                 production default): a pair is a candidate when one band
+//                 of both signatures lands in one bucket.
+//   kGrid       — ST-Link-style co-visit blocking: a pair is a candidate
+//                 iff the two entities share at least one (window, leaf
+//                 cell) time-location bin. Exact on pairs with any exact
+//                 co-visit; prunes everything else.
+//
+// LSH and grid are one join on shared keys and differ only in the keys an
+// entity yields: its (band, bucket) pairs, hashed from a signature
+// (lsh/signature.h) that lives only while its bands are hashed, or its
+// bins. The right entities' keys go into one hashed index, and each left
+// entity unions the rights of its keys into its list.
 //
 // All generators speak dense EntityIdx (core/linkage_context.h) and return
 // ascending, de-duplicated right-side index spans, so the scoring loop is
@@ -61,7 +64,7 @@ std::string_view CandidateKindName(CandidateKind kind);
 /// Parses the --candidates flag vocabulary; InvalidArgument on garbage.
 Result<CandidateKind> ParseCandidateKind(std::string_view name);
 
-/// Configuration of GridBlockingCandidates.
+/// Configuration of grid blocking (CandidateKind::kGrid).
 struct GridBlockingConfig {
   /// Bins held by more than this many right-side entities are skipped as
   /// blocking keys (the classic stop-word guard against hotspot cells

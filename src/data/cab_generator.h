@@ -1,5 +1,5 @@
 // Synthetic stand-in for the paper's Cab dataset (SF taxi traces; see
-// DESIGN.md §1 for the substitution argument).
+// docs/DATASETS.md for why a generator stands in for the corpus).
 //
 // The generator simulates a taxi fleet in the San Francisco bounding box
 // with a random-waypoint mobility model biased toward a small set of

@@ -1,5 +1,6 @@
 // Synthetic stand-in for the paper's SM dataset (Twitter + Foursquare
-// check-ins; see DESIGN.md §1 for the substitution argument).
+// check-ins; see docs/DATASETS.md for why a generator stands in for the
+// corpus).
 //
 // The generator produces sparse check-in behaviour: users live in one of a
 // set of popularity-skewed cities spread over the globe, repeatedly visit a

@@ -3,7 +3,6 @@
 #include <cstdlib>
 #include <string_view>
 
-#include "common/check.h"
 #include "common/strings.h"
 
 namespace slim {
@@ -83,22 +82,6 @@ const LocationDataset& CachedCommuteMaster(BenchScale scale) {
   static const LocationDataset full =
       GenerateCommuteDataset(CommuteOptionsForScale(BenchScale::kFull));
   return full;
-}
-
-ExperimentOutcome RunLinkage(const LocationDataset& master,
-                             const PairSampleOptions& sample_options,
-                             const SlimConfig& config) {
-  auto sample = SampleLinkedPair(master, sample_options);
-  SLIM_CHECK_MSG(sample.ok(), sample.status().ToString().c_str());
-
-  const SlimLinker linker(config);
-  auto linked = linker.Link(sample->a, sample->b);
-  SLIM_CHECK_MSG(linked.ok(), linked.status().ToString().c_str());
-
-  ExperimentOutcome out;
-  out.result = std::move(linked.value());
-  out.quality = EvaluateLinks(out.result.links, sample->truth);
-  return out;
 }
 
 std::string Fmt(double v, int decimals) {

@@ -1,18 +1,14 @@
 // Shared harness for the figure-reproduction benches: bench-scale
-// configuration (env SLIM_BENCH_SCALE=small|full), cached master datasets,
-// and a standard "link and evaluate" runner.
+// configuration (env SLIM_BENCH_SCALE=small|full) and cached master
+// datasets.
 #ifndef SLIM_EVAL_RUNNER_H_
 #define SLIM_EVAL_RUNNER_H_
 
-#include <cstdint>
 #include <string>
 
-#include "core/slim.h"
 #include "data/cab_generator.h"
 #include "data/checkin_generator.h"
 #include "data/commute_generator.h"
-#include "data/sampler.h"
-#include "eval/metrics.h"
 
 namespace slim {
 
@@ -26,8 +22,8 @@ enum class BenchScale {
 /// defaulting to small.
 BenchScale BenchScaleFromEnv();
 
-/// Generator options matching the chosen scale for the two workloads (see
-/// DESIGN.md §1 for how these mirror the paper's Cab and SM datasets).
+/// Generator options matching the chosen scale for the three workloads
+/// (docs/DATASETS.md describes what each generator mirrors).
 CabGeneratorOptions CabOptionsForScale(BenchScale scale);
 CheckinGeneratorOptions CheckinOptionsForScale(BenchScale scale);
 CommuteGeneratorOptions CommuteOptionsForScale(BenchScale scale);
@@ -36,19 +32,6 @@ CommuteGeneratorOptions CommuteOptionsForScale(BenchScale scale);
 const LocationDataset& CachedCabMaster(BenchScale scale);
 const LocationDataset& CachedCheckinMaster(BenchScale scale);
 const LocationDataset& CachedCommuteMaster(BenchScale scale);
-
-/// One linkage experiment outcome: SLIM's result plus its ground-truth
-/// quality.
-struct ExperimentOutcome {
-  LinkageResult result;
-  LinkageQuality quality;
-};
-
-/// Samples the pair from `master` and runs `config` on it.
-/// Aborts (SLIM_CHECK) on configuration errors — benches want loud failure.
-ExperimentOutcome RunLinkage(const LocationDataset& master,
-                             const PairSampleOptions& sample_options,
-                             const SlimConfig& config);
 
 /// Convenience: "0.9876" style fixed formatting for bench tables.
 std::string Fmt(double v, int decimals = 4);

@@ -1,4 +1,5 @@
-// Hierarchical spatial grid, standing in for Google S2 (see DESIGN.md §1).
+// Hierarchical spatial grid, standing in for Google S2 (docs/ARCHITECTURE.md,
+// "geo — the spatial grid", says why).
 //
 // The Earth's surface is partitioned by a lat/lng quadtree: level 0 is the
 // whole surface, and each level splits every cell into a 2x2 grid, so level

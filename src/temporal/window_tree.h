@@ -77,10 +77,6 @@ class WindowSegmentTree {
   /// Total records with timestamps in [w_begin, w_end).
   uint64_t RangeRecordCount(int64_t w_begin, int64_t w_end) const;
 
-  /// The spatial level of the leaf cells (all leaves share one level).
-  /// Requires !empty().
-  int leaf_spatial_level() const { return leaf_level_; }
-
  private:
   // Positions [first, last) in cells_ of the leaves whose windows lie in
   // [w_begin, w_end). Requires !empty().

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -85,11 +86,34 @@ TEST(BruteForceCandidatesTest, CoversTheFullCrossProduct) {
   }
 }
 
+uint64_t Mix(uint64_t z) {
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
+// The band hash of rows [lo, hi), restated from core/candidates.cc: rows
+// that are placeholders are skipped, every other row's position takes part,
+// and a band that is all placeholders has no hash.
+std::optional<uint64_t> BandHash(const LshSignature& sig, size_t lo,
+                                 size_t hi, uint64_t seed) {
+  uint64_t h = seed ^ Mix(lo * 0x9e3779b97f4a7c15ULL);
+  bool evidence = false;
+  for (size_t row = lo; row < hi; ++row) {
+    if (sig.IsPlaceholder(row)) continue;
+    evidence = true;
+    h = Mix(h ^ Mix((row + 1) * 0xd1b54a32d192ed03ULL) ^ sig.cells[row]);
+  }
+  if (!evidence) return std::nullopt;
+  return h;
+}
+
 TEST(LshCandidatesTest, MatchesBandEqualityOfTheSignatures) {
-  // The reference semantics of banded LSH: with num_buckets = SIZE_MAX a
-  // bucket key is the raw 64-bit band hash, so (u, v) must be a candidate
-  // iff some band of their signatures has identical rows that are not all
-  // placeholders.
+  // The reference semantics of banded LSH: (u, v) is a candidate iff, in
+  // one band, neither signature is all placeholders and the two band hashes
+  // are equal mod num_buckets. At one bucket every band's keys share the
+  // bucket, so only the band index keeps the bands apart; at SIZE_MAX a
+  // bucket is the raw 64-bit band hash, so a collision means identical rows.
   const SampledPair pair = MakeSampledPair(4);
   const LinkageContext ctx =
       LinkageContext::Build(pair.a, pair.b, HConfig());
@@ -97,54 +121,87 @@ TEST(LshCandidatesTest, MatchesBandEqualityOfTheSignatures) {
   lc.signature_spatial_level = 10;
   lc.temporal_step_windows = 8;
   lc.similarity_threshold = 0.4;
-  lc.num_buckets = SIZE_MAX;
-  const auto gen = MakeCandidateGenerator(CandidateKind::kLsh, ctx, lc,
-                                          GridBlockingConfig{});
-  EXPECT_EQ(gen->name(), "lsh");
 
   const LshWindowSpan span = GlobalWindowSpan(ctx);
   ASSERT_FALSE(span.empty());
-  auto signature = [&](const HistoryStore& store, EntityIdx u) {
-    return BuildSignature(store.tree(u), span.lo, span.end,
-                          lc.temporal_step_windows,
-                          lc.signature_spatial_level);
+  auto signatures = [&](const HistoryStore& store) {
+    std::vector<LshSignature> out;
+    for (EntityIdx u = 0; u < store.size(); ++u) {
+      out.push_back(BuildSignature(store.tree(u), span.lo, span.end,
+                                   lc.temporal_step_windows,
+                                   lc.signature_spatial_level));
+    }
+    return out;
   };
-  std::vector<LshSignature> right;
-  for (EntityIdx v = 0; v < ctx.store_i.size(); ++v) {
-    right.push_back(signature(ctx.store_i, v));
-  }
+  const std::vector<LshSignature> left = signatures(ctx.store_e);
+  const std::vector<LshSignature> right = signatures(ctx.store_i);
+  ASSERT_FALSE(left.empty());
   ASSERT_FALSE(right.empty());
   const size_t size = right.front().size();
   const size_t bands =
       static_cast<size_t>(ComputeNumBands(size, lc.similarity_threshold));
   const size_t rows = (size + bands - 1) / bands;
-  ASSERT_GE(bands, 1u);
+  ASSERT_GE(bands, 2u);
   ASSERT_GE(bands * rows, size);  // the bands cover the signature
-
-  uint64_t total = 0;
-  for (EntityIdx u = 0; u < ctx.store_e.size(); ++u) {
-    const LshSignature left = signature(ctx.store_e, u);
-    ASSERT_EQ(left.size(), size);
-    std::vector<EntityIdx> expected;
-    for (EntityIdx v = 0; v < ctx.store_i.size(); ++v) {
-      bool collides = false;
-      for (size_t band = 0; band < bands && !collides; ++band) {
-        const size_t lo = band * rows;
-        const size_t hi = std::min(size, lo + rows);
-        bool identical = true, evidence = false;
-        for (size_t row = lo; row < hi; ++row) {
-          identical &= left.cells[row] == right[v].cells[row];
-          evidence |= !left.IsPlaceholder(row);
-        }
-        collides = identical && evidence;
+  auto band_hashes = [&](const std::vector<LshSignature>& sigs) {
+    std::vector<std::vector<std::optional<uint64_t>>> out;
+    for (const LshSignature& sig : sigs) {
+      EXPECT_EQ(sig.size(), size);
+      out.emplace_back();
+      for (size_t band = 0; band < bands; ++band) {
+        out.back().push_back(BandHash(sig, band * rows,
+                                      std::min(size, (band + 1) * rows),
+                                      lc.hash_seed));
       }
-      if (collides) expected.push_back(v);
     }
-    EXPECT_EQ(ToVector(gen->CandidatesFor(u)), expected) << "entity idx " << u;
-    total += expected.size();
+    return out;
+  };
+  const auto left_hashes = band_hashes(left);
+  const auto right_hashes = band_hashes(right);
+
+  for (const size_t buckets : {size_t{1}, size_t{7}, SIZE_MAX}) {
+    lc.num_buckets = buckets;
+    const auto gen = MakeCandidateGenerator(CandidateKind::kLsh, ctx, lc,
+                                            GridBlockingConfig{});
+    EXPECT_EQ(gen->name(), "lsh");
+    uint64_t total = 0;
+    uint64_t both_hashed = 0;  // pairs with some hashed band on each side
+    for (EntityIdx u = 0; u < ctx.store_e.size(); ++u) {
+      std::vector<EntityIdx> expected;
+      for (EntityIdx v = 0; v < ctx.store_i.size(); ++v) {
+        bool collides = false, identical = false;
+        bool left_hashed = false, right_hashed = false;
+        for (size_t band = 0; band < bands; ++band) {
+          const auto& hl = left_hashes[u][band];
+          const auto& hr = right_hashes[v][band];
+          left_hashed |= hl.has_value();
+          right_hashed |= hr.has_value();
+          if (!hl || !hr) continue;
+          collides |= *hl % buckets == *hr % buckets;
+          const size_t lo = band * rows;
+          const size_t hi = std::min(size, lo + rows);
+          identical |= std::equal(left[u].cells.begin() + lo,
+                                  left[u].cells.begin() + hi,
+                                  right[v].cells.begin() + lo);
+        }
+        if (buckets == SIZE_MAX) {
+          EXPECT_EQ(collides, identical) << "pair " << u << "," << v;
+        }
+        both_hashed += left_hashed && right_hashed;
+        if (collides) expected.push_back(v);
+      }
+      EXPECT_EQ(ToVector(gen->CandidatesFor(u)), expected)
+          << "entity idx " << u << ", buckets " << buckets;
+      total += expected.size();
+    }
+    EXPECT_GT(total, 0u) << buckets;
+    EXPECT_EQ(gen->total_candidate_pairs(), total) << buckets;
+    if (buckets == 1) {
+      // Some pairs hash bands on both sides but never the same band: a join
+      // that ignored the band index would list them too.
+      EXPECT_LT(total, both_hashed);
+    }
   }
-  EXPECT_GT(total, 0u);
-  EXPECT_EQ(gen->total_candidate_pairs(), total);
 }
 
 TEST(GridBlockingCandidatesTest, SharedBinImpliesCandidacy) {

@@ -290,18 +290,25 @@ TEST(EdgeSpill, TruncatedSpillSurfacesAsIoErrorNotACrash) {
 
 // ---- Shard-restricted candidate generation. ----
 
-// One generator kind plus the grid's co-visit floor, so the restriction
-// property is checked with the min_overlap_records filter on as well.
+// One generator kind plus the grid's hotspot cap and co-visit floor, so the
+// restriction property is checked with the max_bin_entities cap and the
+// min_overlap_records filter on as well. The cap counts holders in the full
+// right store and applies to both sides of the join.
 struct ShardCandidatesCase {
   CandidateKind kind;
+  uint32_t max_bin_entities;
   uint32_t min_overlap_records;
   const char* name;
 };
 
+// The block generators build at 3 threads and the full one at 1, so each
+// block's per-shard gathering of right keys is checked against the serial
+// build too.
 class ShardCandidates : public ::testing::TestWithParam<ShardCandidatesCase> {
  protected:
   static GridBlockingConfig Grid() {
     GridBlockingConfig grid;
+    grid.max_bin_entities = GetParam().max_bin_entities;
     grid.min_overlap_records = GetParam().min_overlap_records;
     return grid;
   }
@@ -313,6 +320,15 @@ TEST_P(ShardCandidates, UnionOverAPartitionEqualsTheFullGenerator) {
   const SlimConfig defaults;
   const auto full = MakeCandidateGenerator(GetParam().kind, ctx, defaults.lsh,
                                            Grid(), 1);
+  if (GetParam().max_bin_entities > 0) {
+    // The cap must bite on this sample, or the capped case pins nothing.
+    GridBlockingConfig uncapped = Grid();
+    uncapped.max_bin_entities = 0;
+    EXPECT_LT(full->total_candidate_pairs(),
+              MakeCandidateGenerator(GetParam().kind, ctx, defaults.lsh,
+                                     uncapped, 1)
+                  ->total_candidate_pairs());
+  }
 
   const EntityIdx lefts = static_cast<EntityIdx>(ctx.store_e.size());
   for (const int shards : {2, 7}) {
@@ -322,7 +338,7 @@ TEST_P(ShardCandidates, UnionOverAPartitionEqualsTheFullGenerator) {
     for (const auto& [begin, end] : plan.ranges) {
       parts.push_back(MakeShardCandidateGenerator(GetParam().kind, ctx,
                                                   defaults.lsh, Grid(), 0,
-                                                  lefts, begin, end, 1));
+                                                  lefts, begin, end, 3));
       total += parts.back()->total_candidate_pairs();
       EXPECT_EQ(parts.back()->name(), full->name());
     }
@@ -366,7 +382,7 @@ TEST_P(ShardCandidates, LeftRightBlockGridEqualsTheFullGenerator) {
     for (const auto& [right_begin, right_end] : right_ranges) {
       row.push_back(MakeShardCandidateGenerator(
           GetParam().kind, ctx, defaults.lsh, Grid(), left_begin, left_end,
-          right_begin, right_end, 1));
+          right_begin, right_end, 3));
       total += row.back()->total_candidate_pairs();
     }
     for (EntityIdx u = left_begin; u < left_end; ++u) {
@@ -389,10 +405,11 @@ TEST_P(ShardCandidates, LeftRightBlockGridEqualsTheFullGenerator) {
 }
 
 const ShardCandidatesCase kShardCandidatesCases[] = {
-    {CandidateKind::kLsh, 0, "lsh"},
-    {CandidateKind::kBruteForce, 0, "brute"},
-    {CandidateKind::kGrid, 0, "grid"},
-    {CandidateKind::kGrid, 2, "grid_min_overlap_2"},
+    {CandidateKind::kLsh, 0, 0, "lsh"},
+    {CandidateKind::kBruteForce, 0, 0, "brute"},
+    {CandidateKind::kGrid, 0, 0, "grid"},
+    {CandidateKind::kGrid, 0, 2, "grid_min_overlap_2"},
+    {CandidateKind::kGrid, 1, 0, "grid_max_bin_entities_1"},
 };
 
 INSTANTIATE_TEST_SUITE_P(AllGenerators, ShardCandidates,
